@@ -354,14 +354,6 @@ def cmd_scenario_run(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    # No _gc_paused here: the bench harness pauses the GC itself so
-    # every entry point measures under identical conditions.
-    from repro.perf.cli import run_from_args
-
-    return run_from_args(args)
-
-
 def cmd_diffcheck(args) -> int:
     from repro.exp.registry import experiment_names
     from repro.perf.diffcheck import QUICK_EXPERIMENTS, run_diffcheck
@@ -987,13 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="run the quick reproduction report")
     _add_execution_options(p_report)
     p_report.set_defaults(func=cmd_report)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the simulator performance micro-suite and "
-                      "write BENCH_<timestamp>.json")
-    from repro.perf.cli import add_bench_arguments
-    add_bench_arguments(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     p_diff = sub.add_parser(
         "diffcheck",

@@ -1,4 +1,4 @@
-"""Evaluation harness: figure renderers, speedup math, experiment drivers."""
+"""Evaluation harness: figure renderers, report assembly, speedup math."""
 
 from repro.analysis.figures import FigureTable, render_strip
 from repro.analysis.speedup import (

@@ -26,9 +26,16 @@ from repro.dist.base import Backend, BackendUnavailable, IN_WORKER_ENV
 from repro.dist.serial import call_point
 
 
+def _delta(before: dict, after: dict) -> dict:
+    return {k: after[k] - before[k] for k in after
+            if after[k] != before[k]}
+
+
 def _call_point_pinned(fn, point, seed, ff: str | None):
     """Worker-side trial call with the coordinator's fast-forward
-    forced mode re-applied, plus the trial's jump totals.
+    forced mode re-applied, plus the trial's jump totals and engine
+    event counts (what a shards reply frame carries as ``ff_totals``
+    and ``"m"``).
 
     On fork platforms the child inherits the forced state anyway, but
     spawn/forkserver children do not — pinning explicitly keeps
@@ -39,15 +46,14 @@ def _call_point_pinned(fn, point, seed, ff: str | None):
     # map_trials itself resolves to serial, never a nested fleet.
     # (Pool children are reused, so setting it once per task is cheap.)
     os.environ[IN_WORKER_ENV] = "1"
-    from repro.sim import fastforward
+    from repro.sim import engine, fastforward
 
-    before = fastforward.totals()
+    ff_before = fastforward.totals()
+    ev_before = engine.global_counters()
     with fastforward.forced(ff):
         value = call_point(fn, point, seed)
-    after = fastforward.totals()
-    delta = {k: after[k] - before[k] for k in after
-             if after[k] != before[k]}
-    return value, delta
+    return (value, _delta(ff_before, fastforward.totals()),
+            _delta(ev_before, engine.global_counters()))
 
 
 class PoolBackend(Backend):
@@ -63,7 +69,7 @@ class PoolBackend(Backend):
             as_completed,
         )
 
-        from repro.sim import fastforward
+        from repro.sim import engine, fastforward
 
         n = len(points)
         if n == 0:
@@ -101,9 +107,11 @@ class PoolBackend(Backend):
                     if exc is not None:
                         errors[i] = exc
                         continue
-                    results[i], ff_delta = future.result()
+                    results[i], ff_delta, ev_delta = future.result()
                     if ff_delta:
                         fastforward.absorb_totals(ff_delta)
+                    if ev_delta:
+                        engine.absorb_counters(ev_delta)
                     # Stream even when another point already failed:
                     # completed work belongs in the trial cache either
                     # way (resume-after-fix skips it).

@@ -7,9 +7,9 @@ Design constraints, in order:
   event loop is never instrumented at all — engine and fast-forward
   totals are *sampled* from the deterministic counters those layers
   already keep (at ``run()`` exit and at collect time), so the hot
-  path pays nothing whether telemetry is on or off.  The ``repro
-  bench`` suite verifies this with an explicit canary
-  (``telemetry_engine_overhead_pct``).
+  path pays nothing whether telemetry is on or off.
+  ``tests/test_obs.py`` pins this structurally: a long ``run()`` with
+  telemetry on makes no metric call at all.
 * **Stdlib only.**  Prometheus text exposition
   (``Registry.to_prometheus``) and a JSON snapshot
   (``Registry.snapshot``) are rendered by hand; no client library.
@@ -24,8 +24,7 @@ label set becomes its own sample.  Keep cardinality low (routes,
 refusal reasons, worker ids of a small fleet).
 
 ``REPRO_TELEMETRY=0`` (or ``off``/``false``/``no``) disables all
-mutation at process start; :func:`set_enabled` flips it at runtime
-(the bench canary uses this to measure the disabled path).
+mutation at process start; :func:`set_enabled` flips it at runtime.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ def enabled() -> bool:
 
 
 def set_enabled(value: bool) -> None:
-    """Flip telemetry at runtime (tests and the bench canary)."""
+    """Flip telemetry at runtime."""
     global _enabled
     _enabled = bool(value)
 

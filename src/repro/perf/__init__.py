@@ -1,25 +1,6 @@
-"""Reproducible performance measurement for the simulator hot path.
+"""Differential equivalence checking for the simulator's fast-forward
+engine (:mod:`repro.perf.diffcheck`, ``python -m repro diffcheck``).
 
-``python -m repro bench`` runs a fixed micro-suite (raw engine
-throughput, controller row-hit and row-conflict streams, one
-covert-channel trial, one quick-report slice, and the full
-``report --no-cache`` wall time), compares against the most recent
-``BENCH_*.json`` at the repository root, and writes a new one --
-the performance trajectory future optimization PRs are judged against.
+End-to-end performance is measured by the repository's ``bench/``
+harness, which drives the program only through its public API and CLI.
 """
-
-_BENCH_EXPORTS = ("BenchConfig", "collect_metrics", "compare",
-                  "find_previous", "run_bench")
-
-__all__ = list(_BENCH_EXPORTS)
-
-
-def __getattr__(name):
-    # Lazy re-export: `python -m repro list/run/report` imports this
-    # package for the CLI's argument definitions and must not pay for
-    # the bench machinery.
-    if name in _BENCH_EXPORTS:
-        from repro.perf import bench
-
-        return getattr(bench, name)
-    raise AttributeError(name)

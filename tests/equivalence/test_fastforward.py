@@ -350,6 +350,34 @@ class TestJointEquivalence:
         assert delta["joint_jumps"] > 0
         assert delta["samples"] > 0  # synthesized receiver samples
 
+    def test_covert_channel_long_windows_identical(self):
+        """The PRAC covert channel with 200 us windows, where idle and
+        post-back-off stretches dominate: the decode, the ground truth
+        and every window's observation (back-offs, refreshes, sample
+        count) match event-accurate execution, and the sender +
+        receiver pair jumps jointly."""
+        from repro.core.prac_channel import (
+            PracChannelConfig,
+            PracCovertChannel,
+        )
+        from repro.sim.engine import US
+
+        def transmit(mode):
+            with fastforward.forced(mode):
+                channel = PracCovertChannel(
+                    PracChannelConfig(window_ps=200 * US))
+                return channel.transmit([1, 0, 1, 1, 0, 0, 1, 0])
+
+        off = transmit("off")
+        before = fastforward.totals()
+        on = transmit("on")
+        after = fastforward.totals()
+        assert on.decoded == off.decoded
+        assert on.ground_truth_backoffs == off.ground_truth_backoffs
+        assert on.ground_truth_rfms == off.ground_truth_rfms
+        assert on.windows == off.windows
+        assert after["joint_jumps"] - before["joint_jumps"] > 0
+
     def test_probe_with_rw_noise_excluded_but_identical(self):
         """A read/write-mix noise agent is ineligible (writes change
         bank state the extrapolator does not model): the joint path

@@ -100,25 +100,6 @@ class TestIterTables:
         assert list(iter_tables({"a": 1})) == []
 
 
-class TestBenchCommand:
-    def test_bench_quick_writes_json(self, tmp_path, capsys, monkeypatch):
-        from repro.perf.bench import BenchConfig
-
-        monkeypatch.setattr(
-            "repro.perf.bench.BenchConfig.quick",
-            classmethod(lambda cls: BenchConfig(
-                engine_events=2_000, controller_requests=500,
-                repeats=1, full_report=False)))
-        rc = main(["bench", "--quick", "--label", "cli-test",
-                   "--out-dir", str(tmp_path)])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "engine_events_per_sec" in captured.out
-        files = list(tmp_path.glob("BENCH_*.json"))
-        assert len(files) == 1
-        assert "cli-test" in files[0].read_text()
-
-
 class TestListTag:
     def test_tag_filters_the_catalog(self, capsys):
         assert main(["list", "--tag", "ablation"]) == 0

@@ -69,9 +69,3 @@ class TestLookup:
             register(ExperimentSpec(name="brand-new", fn=lambda: None,
                                     figure="x", claim="y",
                                     aliases=("table2",)))
-
-    def test_registry_fn_matches_shim_export(self):
-        from repro.analysis import experiments as E
-
-        assert get_experiment("fig4").fn is E.fig4_prac_noise_sweep
-        assert get_experiment("table3").fn is E.table3_leakage_model

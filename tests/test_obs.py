@@ -1,7 +1,7 @@
 """Tests for the telemetry subsystem (:mod:`repro.obs`): the metrics
 registry, its instrumentation hooks across engine/cache/dist/serve,
-trial-lifecycle tracing, and the observability satellites (bench
-metric-set diff, monotonic job durations, progress line)."""
+trial-lifecycle tracing, and the observability satellites (monotonic
+job durations, progress line)."""
 
 from __future__ import annotations
 
@@ -150,6 +150,49 @@ class TestEngineCounters:
         assert (_collected("repro_engine_events_run_total")
                 - reg_before) == 10
 
+    def test_run_loop_makes_no_metric_calls(self, monkeypatch):
+        """Telemetry never enters the event loop: a long run with
+        telemetry on mutates no metric, and its events reach the
+        registry only through the process-wide totals published at
+        ``run()`` exit."""
+        from repro.sim import engine as engine_mod
+        from repro.sim.engine import NS, Simulator
+
+        calls = []
+
+        def counting(method):
+            def wrapper(self, *args, **labels):
+                calls.append(self.name)
+                return method(self, *args, **labels)
+            return wrapper
+
+        for cls, name in ((Counter, "inc"), (Gauge, "set"),
+                          (Gauge, "inc"), (Histogram, "observe")):
+            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+
+        # Immediate, FIFO-lane and heap-lane events, as in a memory
+        # simulation: a 1 ns chain with wake-ups and far refresh ticks.
+        sim = Simulator()
+        ticks = 0
+
+        def tick():
+            nonlocal ticks
+            ticks += 1
+            if ticks < 8_000:
+                sim.schedule(1 * NS, tick)
+                if ticks % 3 == 0:
+                    sim.schedule(0, lambda: None)
+                if ticks % 64 == 0:
+                    sim.schedule(3900 * NS, lambda: None)
+
+        sim.schedule(1, tick)
+        before = engine_mod.global_counters()["events_run"]
+        executed = sim.run()
+        assert executed >= 10_000
+        assert calls == []
+        assert (engine_mod.global_counters()["events_run"] - before
+                == executed)
+
     def test_absorb_counters_folds_remote_deltas(self):
         from repro.sim import engine as engine_mod
 
@@ -216,6 +259,24 @@ def backend():
 
 
 class TestSweepMetrics:
+    def test_engine_counters_equal_across_backends(self, backend):
+        """Trials run in pool children or shards workers reach the
+        coordinator's engine counters exactly as serial trials do."""
+        from repro.dist import get_backend
+        from repro.sim import engine as engine_mod
+
+        def engine_delta(runner):
+            before = engine_mod.global_counters()
+            runner.run(dist_trials.ff_jumping_trial, [0, 1], [None] * 2,
+                       workers=2)
+            after = engine_mod.global_counters()
+            return {k: after[k] - before[k] for k in after}
+
+        serial = engine_delta(get_backend("serial"))
+        assert serial["events_run"] > 0 and serial["events_elided"] > 0
+        assert engine_delta(get_backend("pool")) == serial
+        assert engine_delta(backend) == serial
+
     def test_ff_gauges_reset_per_sweep_counters_accumulate(self, backend):
         dispatched0 = REGISTRY.get_value(
             "repro_dist_tasks_dispatched_total")
@@ -351,27 +412,8 @@ class TestTrace:
 
 
 # ----------------------------------------------------------------------
-# Satellites: bench metric-set diff, monotonic job durations, progress
+# Satellites: monotonic job durations, progress
 # ----------------------------------------------------------------------
-class TestMetricSetDiff:
-    def test_disjoint_sets_are_reported(self):
-        from repro.perf.bench import compare, metric_set_diff
-
-        old = {"metrics": {"gone_seconds": 1.0}}
-        new = {"metrics": {"fresh_per_sec": 10}}
-        # compare() stays silent on disjoint sets (pinned elsewhere);
-        # metric_set_diff is the loud counterpart.
-        assert compare(new, old) == {}
-        assert metric_set_diff(new, old) == {
-            "added": ["fresh_per_sec"], "removed": ["gone_seconds"]}
-
-    def test_identical_sets_diff_empty(self):
-        from repro.perf.bench import metric_set_diff
-
-        doc = {"metrics": {"a": 1, "b": 2}}
-        assert metric_set_diff(doc, doc) == {"added": [], "removed": []}
-
-
 class TestJobDurations:
     def test_duration_survives_wall_clock_stepping_backwards(
             self, monkeypatch):
