@@ -606,8 +606,7 @@ def cmd_fleet_status(args) -> int:
     if metrics_doc:
         interesting = _metrics_rows(
             metrics_doc, prefix=("repro_dist_", "repro_sweep_",
-                                 "repro_fleet_", "repro_engine_",
-                                 "repro_ff_"))
+                                 "repro_fleet_", "repro_engine_"))
         if interesting:
             table = FigureTable("Coordinator telemetry",
                                 ["metric", "labels", "value"])
@@ -983,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff = sub.add_parser(
         "diffcheck",
         help="differential equivalence check: every case runs with "
-             "steady-state fast-forward off and on; results must be "
+             "fast-forward (wake elision) off and on; results must be "
              "bit-identical")
     p_diff.add_argument("experiment", nargs="*", metavar="NAME",
                         help="experiment name(s) to check (default: the "
@@ -1004,9 +1003,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--fuzz-multi", type=int, default=None,
                         metavar="N",
                         help="number of seeded multi-agent periodic "
-                             "specs driving the joint fast-forward "
-                             "path (default: 10 for the full sweep, "
-                             "6 for --quick, 0 with explicit names)")
+                             "specs: co-running agents whose traffic "
+                             "interleaves with wake elision (default: "
+                             "10 for the full sweep, 6 for --quick, 0 "
+                             "with explicit names)")
     p_diff.add_argument("--fuzz-multi-seed", type=int, default=0xA117,
                         metavar="SEED",
                         help="base seed of the multi-agent fuzz corpus")

@@ -157,10 +157,9 @@ class MemoryController:
         self._wake_at: int | None = None
         self.queue_high_water = 0
         #: Wake-event elision switch (set by :class:`~repro.system.
-        #: MemorySystem` from the resolved fast-forward config) and its
-        #: engagement counter (see :meth:`submit_tail`).
+        #: MemorySystem` from the resolved fast-forward config; see
+        #: :meth:`submit_tail`).
         self.ff_elide = False
-        self.wakes_elided = 0
         #: addr -> (coord, flat, bank, bank_queue): decode and bank
         #: resolution done once per distinct address.
         self._addr_plan: dict[int, tuple] = {}
@@ -276,6 +275,7 @@ class MemoryController:
 
         Any failed precondition falls back to the deferred-wake path,
         so ``submit_tail`` is always safe to use from a tail position.
+        Each elided wake counts in the engine's ``events_elided``.
         """
         sim = self.sim
         if (self.ff_elide and self._queue_len == 0 and not self._backlog
@@ -324,7 +324,7 @@ class MemoryController:
                     # state (a previously armed future wake becomes
                     # stale either way).
                     self._wake_at = None
-                    self.wakes_elided += 1
+                    sim._events_elided += 1
                     stats = self.stats
                     if bank.open_row == coord.row:
                         # Row-hit service, inlined from _service_core
@@ -401,59 +401,6 @@ class MemoryController:
     @property
     def queued_requests(self) -> int:
         return self._queue_len + len(self._backlog)
-
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward participation (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _ff_banks(plans) -> list[BankState]:
-        """Distinct banks of a probe's address plans, in plan order
-        (shared by snapshot and apply so their layouts always agree)."""
-        banks: list[BankState] = []
-        for _coord, _flat, bank, _queue in plans:
-            if bank not in banks:  # identity compare; 1-2 banks typical
-                banks.append(bank)
-        return banks
-
-    def ff_snapshot(self, plans) -> tuple[tuple, tuple]:
-        """(lin, inv) controller state for periodicity detection.
-
-        ``lin`` holds the per-cycle-advancing ints (bank timestamps,
-        hit streaks, request seq, bus reservation endpoints); ``inv``
-        holds what must not change at all between cycle boundaries
-        (open rows, queue emptiness, armed wake, high-water mark).
-        """
-        lin = [self._next_seq]
-        inv = [self._queue_len, len(self._backlog), self._wake_at,
-               self.queue_high_water, len(self._bus_starts)]
-        for bank in self._ff_banks(plans):
-            lin.append(bank.busy_until)
-            lin.append(bank.act_time)
-            lin.append(bank.hit_streak)
-            inv.append(bank.open_row)
-        lin.extend(self._bus_starts)
-        lin.extend(self._bus_ends)
-        return tuple(lin), tuple(inv)
-
-    def ff_apply(self, plans, delta, cycles: int) -> None:
-        """Bulk-advance controller state by ``cycles`` steady cycles
-        (``delta`` = the per-cycle lin difference, laid out exactly as
-        :meth:`ff_snapshot` built it)."""
-        self._next_seq += delta[0] * cycles
-        i = 1
-        for bank in self._ff_banks(plans):
-            bank.busy_until += delta[i] * cycles
-            bank.act_time += delta[i + 1] * cycles
-            bank.hit_streak += delta[i + 2] * cycles
-            i += 3
-        starts = self._bus_starts
-        for j in range(len(starts)):
-            starts[j] += delta[i] * cycles
-            i += 1
-        ends = self._bus_ends
-        for j in range(len(ends)):
-            ends[j] += delta[i] * cycles
-            i += 1
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -128,21 +128,10 @@ class WindowedSender(Agent):
         self._complete_cb = self._complete
         self._classify = classifier.classify
         self._submit = system.controller.submit_tail
-        #: Fast-forward coordinator: tick wake-ups are holder-parked so
-        #: joint steady-state jumps can move them (and idle-window
-        #: parks bound a co-running receiver's solo jumps exactly).
-        self._ff = system.fast_forward
 
     # ------------------------------------------------------------------
-    def _park(self, time_ps: int) -> None:
-        ff = self._ff
-        if ff is not None:
-            ff.park(self, time_ps, self._tick_cb)
-        else:
-            self.sim.schedule_at(time_ps, self._tick_cb)
-
     def start(self) -> None:
-        self._park(self.epoch)
+        self.sim.schedule_at(self.epoch, self._tick_cb)
 
     def _window_of(self, t: int) -> int:
         return (t - self.epoch) // self.window_ps
@@ -152,7 +141,7 @@ class WindowedSender(Agent):
             return
         now = self.sim.now
         if now < self.epoch:
-            self._park(self.epoch)
+            self.sim.schedule_at(self.epoch, self._tick_cb)
             return
         window = self._window_of(now)
         if window >= len(self.symbols):
@@ -161,7 +150,7 @@ class WindowedSender(Agent):
         gap = self.gaps[self.symbols[window]]
         if gap is None or window == self._halted_window:
             next_start = self.epoch + (window + 1) * self.window_ps
-            self._park(next_start)
+            self.sim.schedule_at(next_start, self._tick_cb)
             return
         self._issue_time = now
         self.accesses += 1
@@ -178,46 +167,7 @@ class WindowedSender(Agent):
         gap = self.gaps.get(self.symbols[min(window, len(self.symbols) - 1)]
                             ) if window < len(self.symbols) else None
         sleep = self.overhead + (gap or 0)
-        self._park(now + sleep)
-
-    # ------------------------------------------------------------------
-    # Joint steady-state fast-forward hooks (repro.sim.fastforward).
-    # ------------------------------------------------------------------
-    def ff_addrs(self) -> list[int]:
-        return [self.addr]
-
-    def ff_state(self, ff):
-        holder = ff.holder_of(self)
-        if holder is None:
-            return None
-        now = self.sim.now
-        window = self._window_of(now) if now >= self.epoch else -1
-        lin = (self._issue_time, self.accesses, holder.time, holder.seq)
-        # The window index pins every detection window inside one
-        # symbol (the symbol, its gap, and the halt decision all key on
-        # it); crossing a boundary resets detection, and ff_cap keeps
-        # synthesized windows inside the symbol too.
-        inv = (window, self._halted_window, len(self.symbols))
-        return lin, inv
-
-    def ff_verify(self, now: int, period: int, d_lin, d_seq: int) -> bool:
-        return (d_lin[0] == period and d_lin[1] > 0
-                and d_lin[2] == period and d_lin[3] == d_seq)
-
-    def ff_cap(self, now: int, period: int, d_lin) -> int | None:
-        """Never synthesize across the current symbol window's end: the
-        boundary access (new symbol, new gap, halt reset) runs live."""
-        window = self._window_of(now)
-        window_end = self.epoch + (window + 1) * self.window_ps
-        return (window_end - 1 - now) // period
-
-    def ff_production(self, d_lin) -> tuple[int, int]:
-        return d_lin[1], 0
-
-    def ff_jump(self, now: int, period: int, n: int, d_lin) -> int:
-        self._issue_time += d_lin[0] * n
-        self.accesses += d_lin[1] * n
-        return 0
+        self.sim.schedule_at(now + sleep, self._tick_cb)
 
 
 class WindowedReceiver(LatencyProbe):
@@ -255,53 +205,6 @@ class WindowedReceiver(LatencyProbe):
         self.time_to_backoff: list[int | None] = [None] * n_windows
         self._window_count = [0] * n_windows
         self._classify = classifier.classify
-        # Observer replay contract (see LatencyProbe): _observe is pure
-        # bookkeeping unless a BACKOFF-classified sample makes it sleep,
-        # so a jump is safe exactly when the cycle's deltas contain no
-        # BACKOFF (or the receiver never sleeps on one).
-        self._ff_observer_guard = (self.on_sample, self._ff_guard)
-
-    def _ff_guard(self, deltas: list[int]) -> bool:
-        if not self.sleep_on_backoff:
-            return True
-        classify = self._classify
-        return all(classify(d) is not EventKind.BACKOFF for d in deltas)
-
-    def _ff_replay(self, new_samples) -> None:
-        """Batched `_observe` over a synthesized sample run: classify
-        each distinct delta once and update the per-window arrays
-        in-place, preserving exact per-sample semantics."""
-        if self.on_sample != self._observe:
-            # A wrapper (e.g. a stop-on watcher) replaced the observer;
-            # replay it sample-by-sample instead.
-            super()._ff_replay(new_samples)
-            return
-        epoch = self.epoch
-        window_ps = self.window_ps
-        n_windows = self.n_windows
-        events = self.window_events
-        window_samples = self.window_samples
-        counts = self._window_count
-        count_to = self.count_to_backoff
-        time_to = self.time_to_backoff
-        classify = self._classify
-        kind_of: dict[int, EventKind] = {}
-        backoff = EventKind.BACKOFF
-        for sample in new_samples:
-            delta = sample.delta
-            kind = kind_of.get(delta)
-            if kind is None:
-                kind = kind_of[delta] = classify(delta)
-            mid = sample.end_time - delta // 2
-            window = (mid - epoch) // window_ps
-            if not 0 <= window < n_windows:
-                continue
-            events[window].append(kind)
-            window_samples[window] += 1
-            counts[window] += 1
-            if kind is backoff and count_to[window] is None:
-                count_to[window] = counts[window]
-                time_to[window] = mid - (epoch + window * window_ps)
 
     def _observe(self, sample: LatencySample) -> None:
         delta = sample.delta

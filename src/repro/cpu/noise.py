@@ -45,11 +45,6 @@ def noise_intensity_for_sleep(sleep_ps: int,
 class NoiseAgent(Agent):
     """Alternating-row activation generator with configurable sleeps."""
 
-    #: Whether this agent class may participate in joint steady-state
-    #: fast-forward (subclasses drawing per-access randomness opt out:
-    #: synthesized iterations must not skip RNG draws).
-    _ff_eligible = True
-
     def __init__(self, system: MemorySystem, addrs: list[int],
                  sleep_ps: int, name: str = "noise", start_time: int = 0,
                  stop_time: int | None = None, burst: int = 2) -> None:
@@ -76,9 +71,6 @@ class NoiseAgent(Agent):
         self._issue_cb = self._issue
         self._complete_cb = self._complete
         self._submit = system.controller.submit_tail
-        #: Fast-forward coordinator; ineligible subclasses schedule
-        #: plainly, so their wake events bound every jump (foreign).
-        self._ff = system.fast_forward if self._ff_eligible else None
 
     @classmethod
     def for_intensity(cls, system: MemorySystem, addrs: list[int],
@@ -87,15 +79,8 @@ class NoiseAgent(Agent):
         return cls(system, addrs, sleep_for_noise_intensity(intensity),
                    **kwargs)
 
-    def _park(self, time_ps: int) -> None:
-        ff = self._ff
-        if ff is not None:
-            ff.park(self, time_ps, self._issue_cb)
-        else:
-            self.sim.schedule_at(time_ps, self._issue_cb)
-
     def start(self) -> None:
-        self._park(self.start_time)
+        self.sim.schedule_at(self.start_time, self._issue_cb)
 
     def _issue(self) -> None:
         if self.done:
@@ -121,37 +106,7 @@ class NoiseAgent(Agent):
             self._issue()
             return
         self._in_burst = 0
-        self._park(self.sim.now + self.sleep_ps)
-
-    # ------------------------------------------------------------------
-    # Joint steady-state fast-forward hooks (repro.sim.fastforward).
-    # ------------------------------------------------------------------
-    def ff_addrs(self) -> list[int]:
-        return self.addrs
-
-    def ff_state(self, ff):
-        holder = ff.holder_of(self)
-        if holder is None:
-            return None
-        lin = (self.requests_issued, holder.time, holder.seq)
-        inv = (self._idx, self._in_burst)
-        return lin, inv
-
-    def ff_verify(self, now: int, period: int, d_lin, d_seq: int) -> bool:
-        return (d_lin[0] > 0 and d_lin[1] == period
-                and d_lin[2] == d_seq)
-
-    def ff_cap(self, now: int, period: int, d_lin) -> int | None:
-        if self.stop_time is None:
-            return None
-        return (self.stop_time - 1 - now) // period
-
-    def ff_production(self, d_lin) -> tuple[int, int]:
-        return d_lin[0], 0
-
-    def ff_jump(self, now: int, period: int, n: int, d_lin) -> int:
-        self.requests_issued += d_lin[0] * n
-        return 0
+        self.sim.schedule_at(self.sim.now + self.sleep_ps, self._issue_cb)
 
 
 class RWNoiseAgent(NoiseAgent):
@@ -161,13 +116,7 @@ class RWNoiseAgent(NoiseAgent):
     a private RNG under the same cross-process determinism contract as
     the probe's jitter RNG (see :func:`repro.cpu.agent.
     deterministic_seed`).
-
-    Excluded from steady-state fast-forward: every issued access draws
-    from the RNG, and a jump that skipped draws would desynchronize the
-    stream from event-accurate execution.
     """
-
-    _ff_eligible = False
 
     def __init__(self, system: MemorySystem, addrs: list[int],
                  sleep_ps: int, write_ratio: float = 0.5,

@@ -39,45 +39,6 @@ class Defense:
     def on_refresh(self, rank: int, t: int) -> None:
         """A periodic REF was issued to ``rank`` at time ``t``."""
 
-    # -- steady-state fast-forward participation ------------------------
-    # (see repro.sim.fastforward)
-    @property
-    def ff_supported(self) -> bool:
-        """Whether analytic steady-state jumps may age this defense.
-
-        Opt-in by class: the shipped defenses set ``ff_supported =
-        True`` and implement the hooks below; an *unknown* subclass
-        inherits ``False`` from this property, which disables jumps
-        entirely and keeps the simulation event-accurate -- a defense
-        the fast-forward engine cannot reason about must never be
-        skipped over.  The no-defense baseline (this class itself) is
-        trivially jumpable.
-        """
-        return type(self) is Defense
-
-    def ff_snapshot(self, plans) -> tuple[tuple, tuple] | None:
-        """(lin, inv) defense state for periodicity detection.
-
-        ``plans`` are the controller's address plans -- ``(coord,
-        flat_bank, bank, queue)`` tuples -- of the probed addresses;
-        the cycle being considered touches exactly these coordinates.
-        ``lin`` values must be ints advancing linearly per steady
-        cycle; ``inv`` values must be bit-equal across boundaries.
-        Return ``None`` to veto a jump in the current state.
-        """
-        return (), ()
-
-    def ff_cycle_cap(self, lin, delta, acts_per_cycle: int) -> int | None:
-        """Greatest number of whole cycles safe to jump (``None`` =
-        unlimited).  Must keep every trigger condition un-crossed:
-        counters stay strictly below their thresholds through the jump
-        so the crossing iteration executes event-accurately."""
-        return None
-
-    def ff_apply(self, plans, delta, cycles: int) -> None:
-        """Age defense counters over ``cycles`` jumped cycles
-        (``delta`` = per-cycle lin difference from :meth:`ff_snapshot`)."""
-
     # -- introspection for tests/experiments ---------------------------
     def describe(self) -> dict:
         """Human-readable parameter summary."""

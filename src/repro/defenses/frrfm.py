@@ -52,14 +52,6 @@ class FixedRateRfmDefense(Defense):
             close=True, align_to_busy=False)
         self.sim.schedule_at(now + self.period, lambda: self._tick(rank))
 
-    # Fast-forward: FR-RFM keeps no per-access state at all -- its grid
-    # ticks are engine events, which already bound every jump through
-    # the quiescence horizon.  Jumps between grid points are unlimited.
-    ff_supported = True
-
-    def ff_snapshot(self, plans):
-        return (), (len(self.rfm_log),)
-
     def describe(self) -> dict:
         return {"kind": self.kind.value, "trfm": self.params.trfm,
                 "period_ps": self.period,

@@ -38,18 +38,6 @@ class ParaDefense(Defense):
             rank, frozenset((bank,)), self.sim.now,
             self.params.para_refresh_latency, BlockKind.PARA, close=True)
 
-    # Fast-forward: PARA's trigger is an RNG draw *per activation*, so
-    # a window containing activations can never be skipped (each elided
-    # draw could have fired a refresh).  Activation-free steady cycles
-    # -- pure row-hit streams -- carry no draws and jump freely.
-    ff_supported = True
-
-    def ff_snapshot(self, plans):
-        return (), (len(self.refresh_log),)
-
-    def ff_cycle_cap(self, lin, delta, acts_per_cycle):
-        return None if acts_per_cycle == 0 else 0
-
     def describe(self) -> dict:
         return {"kind": self.kind.value,
                 "probability": self.params.para_probability,

@@ -134,65 +134,6 @@ class PracDefense(Defense):
             counters[row] = reset()
 
     # ------------------------------------------------------------------
-    # Steady-state fast-forward participation (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    ff_supported = True
-
-    @staticmethod
-    def _ff_rows(plans) -> list[tuple[int, int, int]]:
-        """Distinct (rank, flat_bank, row) triples of a probe's address
-        plans, in plan order (snapshot and apply share one layout)."""
-        rows: list[tuple[int, int, int]] = []
-        for coord, flat, _bank, _queue in plans:
-            key = (coord.rank, flat, coord.row)
-            if key not in rows:
-                rows.append(key)
-        return rows
-
-    def ff_snapshot(self, plans):
-        """Per-row counters of the probed rows (lin; -1 = untouched),
-        plus the rank-level ABO machinery as invariants -- a pending
-        ABO, a cool-down change or a refresh sweep mid-window must all
-        break steady-state detection."""
-        lin = []
-        ranks = []
-        for rank, flat, row in self._ff_rows(plans):
-            lin.append(self.counters[rank][flat].get(row, -1))
-            if rank not in ranks:
-                ranks.append(rank)
-        inv = [len(self.abo_log)]
-        for rank in ranks:
-            inv.append(self._abo_pending[rank])
-            inv.append(self._cooldown_end[rank])
-            inv.append(self._ref_cursor[rank])
-        return tuple(lin), tuple(inv)
-
-    def ff_cycle_cap(self, lin, delta, acts_per_cycle):
-        """Keep every probed row's counter strictly below N_BO through
-        the jump; the threshold-crossing precharge runs live."""
-        cap = None
-        nbo = self.params.nbo
-        for value, d in zip(lin, delta):
-            if d == 0:
-                continue
-            if d < 0 or value < 0:
-                # Shrinking or just-materialized counters mean the
-                # window was not actually steady; decline.
-                return 0
-            room = (nbo - 1 - value) // d
-            if room <= 0:
-                return 0
-            if cap is None or room < cap:
-                cap = room
-        return cap
-
-    def ff_apply(self, plans, delta, cycles):
-        for (rank, flat, row), d in zip(self._ff_rows(plans), delta):
-            if d:
-                counters = self.counters[rank][flat]
-                counters[row] = counters[row] + d * cycles
-
-    # ------------------------------------------------------------------
     # Periodic-refresh hygiene: REF-covered rows get their counters
     # cleared as their victims are refreshed anyway.
     # ------------------------------------------------------------------

@@ -64,23 +64,6 @@ class BankLevelPracDefense(PracDefense):
             self.sim.now + self.timing.tABO_COOLDOWN)
         self._bank_pending[rank][bank] = False
 
-    # Fast-forward: same per-row counter aging as PRAC, plus the
-    # per-bank ABO machinery joining the invariants.
-    def ff_snapshot(self, plans):
-        snap = super().ff_snapshot(plans)
-        if snap is None:  # pragma: no cover - defensive
-            return None
-        lin, inv = snap
-        extra = []
-        seen = []
-        for coord, flat, _bank, _queue in plans:
-            key = (coord.rank, flat)
-            if key not in seen:
-                seen.append(key)
-                extra.append(self._bank_pending[coord.rank][flat])
-                extra.append(self._bank_cooldown[coord.rank][flat])
-        return lin, inv + tuple(extra)
-
     def describe(self) -> dict:
         info = super().describe()
         info["kind"] = self.kind.value

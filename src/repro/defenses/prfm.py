@@ -50,47 +50,6 @@ class PrfmDefense(Defense):
         return frozenset(g * per_group + within
                          for g in range(self.org.bankgroups))
 
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward participation (repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    ff_supported = True
-
-    @staticmethod
-    def _ff_bank_keys(plans) -> list[tuple[int, int]]:
-        keys: list[tuple[int, int]] = []
-        for coord, flat, _bank, _queue in plans:
-            key = (coord.rank, flat)
-            if key not in keys:
-                keys.append(key)
-        return keys
-
-    def ff_snapshot(self, plans):
-        lin = tuple(self.bank_counters[rank][flat]
-                    for rank, flat in self._ff_bank_keys(plans))
-        return lin, (len(self.rfm_log),)
-
-    def ff_cycle_cap(self, lin, delta, acts_per_cycle):
-        """Keep every probed bank's counter strictly below T_RFM; the
-        RFM-triggering activation runs live."""
-        cap = None
-        trfm = self.params.trfm
-        for value, d in zip(lin, delta):
-            if d == 0:
-                continue
-            if d < 0:
-                return 0
-            room = (trfm - 1 - value) // d
-            if room <= 0:
-                return 0
-            if cap is None or room < cap:
-                cap = room
-        return cap
-
-    def ff_apply(self, plans, delta, cycles):
-        for (rank, flat), d in zip(self._ff_bank_keys(plans), delta):
-            if d:
-                self.bank_counters[rank][flat] += d * cycles
-
     def describe(self) -> dict:
         return {"kind": self.kind.value, "trfm": self.params.trfm,
                 "rfm_latency_ps": self.timing.tRFM_SB}

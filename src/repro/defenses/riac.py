@@ -20,13 +20,6 @@ class PracRiacDefense(PracDefense):
 
     kind = DefenseKind.PRAC_RIAC
 
-    # Steady-state fast-forward support is inherited from PRAC
-    # unchanged: RIAC's RNG is only consulted when a counter
-    # materializes or resets, and a jump window contains neither (a
-    # first touch breaks the equal-differences check, a reset requires
-    # a back-off, which the headroom cap excludes) -- so no draw is
-    # ever skipped and the RNG stream stays bit-identical.
-
     def _initial_count(self) -> int:
         return self.rng.randrange(self.params.nbo)
 

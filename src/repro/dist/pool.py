@@ -33,9 +33,8 @@ def _delta(before: dict, after: dict) -> dict:
 
 def _call_point_pinned(fn, point, seed, ff: str | None):
     """Worker-side trial call with the coordinator's fast-forward
-    forced mode re-applied, plus the trial's jump totals and engine
-    event counts (what a shards reply frame carries as ``ff_totals``
-    and ``"m"``).
+    forced mode re-applied, plus the trial's engine event counts (what
+    a shards reply frame carries as ``"m"``).
 
     On fork platforms the child inherits the forced state anyway, but
     spawn/forkserver children do not — pinning explicitly keeps
@@ -48,12 +47,10 @@ def _call_point_pinned(fn, point, seed, ff: str | None):
     os.environ[IN_WORKER_ENV] = "1"
     from repro.sim import engine, fastforward
 
-    ff_before = fastforward.totals()
     ev_before = engine.global_counters()
     with fastforward.forced(ff):
         value = call_point(fn, point, seed)
-    return (value, _delta(ff_before, fastforward.totals()),
-            _delta(ev_before, engine.global_counters()))
+    return value, _delta(ev_before, engine.global_counters())
 
 
 class PoolBackend(Backend):
@@ -107,9 +104,7 @@ class PoolBackend(Backend):
                     if exc is not None:
                         errors[i] = exc
                         continue
-                    results[i], ff_delta, ev_delta = future.result()
-                    if ff_delta:
-                        fastforward.absorb_totals(ff_delta)
+                    results[i], ev_delta = future.result()
                     if ev_delta:
                         engine.absorb_counters(ev_delta)
                     # Stream even when another point already failed:

@@ -128,10 +128,6 @@ _SWEEP_GAUGES = {
         ("crashes", "worker crashes"),
         ("timeouts", "per-trial timeout kills"),
         ("workers_used", "distinct workers that ran a trial"),
-        ("ff_jumps", "fast-forward jumps absorbed from workers"),
-        ("ff_cycles", "fast-forward jumped cycles absorbed"),
-        ("ff_samples", "fast-forward synthesized samples absorbed"),
-        ("ff_joint_jumps", "joint fast-forward jumps absorbed"),
     )}
 
 #: Per-trial wall-clock budget in seconds (float; unset/0 disables).
@@ -386,8 +382,7 @@ class ShardsBackend(Backend):
         used: set[str] = set()
         stats = {"crashes": 0, "retries": 0, "timeouts": 0,
                  "workers_used": 0, "remote_workers_used": 0,
-                 "worker_trials": {},
-                 "ff_totals": {k: 0 for k in fastforward.totals()}}
+                 "worker_trials": {}}
         self.last_stats = stats
         completed = 0
         # Per-sweep telemetry baseline: the repro_sweep_* gauges
@@ -687,19 +682,6 @@ class ShardsBackend(Backend):
                     _trace.emit("running", label, worker=shard.id,
                                 attempt=attempts[index] + 1,
                                 start=span[0], end=span[1])
-            worker_totals = frame.get("ff_totals")
-            if worker_totals:
-                fastforward.absorb_totals(worker_totals)
-                # Per-sweep engagement evidence: last_stats reports
-                # only this run()'s totals, while the process-wide
-                # fastforward totals keep accumulating across sweeps.
-                sweep_totals = stats["ff_totals"]
-                for key, value in worker_totals.items():
-                    if key in sweep_totals:
-                        sweep_totals[key] += value
-                        gauge = _SWEEP_GAUGES.get(f"ff_{key}")
-                        if gauge is not None:
-                            gauge.set(sweep_totals[key])
             counters = frame.get("m")
             if counters:
                 # Fold the worker's engine-event delta into this

@@ -106,7 +106,6 @@ def _run_task(frame: dict) -> dict:
     from repro.dist.protocol import encode_value
 
     task_id = frame.get("id", "?")
-    before = fastforward.totals()
     before_ev = engine.global_counters()
     started = time.time()
     try:
@@ -127,12 +126,6 @@ def _run_task(frame: dict) -> dict:
     # own telemetry registry.  Old coordinators ignore the extra keys.
     reply = {"id": task_id, "ok": True, "result": encoded,
              "span": [started, ended]}
-    after = fastforward.totals()
-    delta = {k: after[k] - before[k] for k in after if after[k] != before[k]}
-    if delta:
-        # Engagement evidence rides home with the result (see
-        # fastforward.absorb_totals).
-        reply["ff_totals"] = delta
     after_ev = engine.global_counters()
     ev_delta = {k: after_ev[k] - before_ev[k] for k in after_ev
                 if after_ev[k] != before_ev[k]}

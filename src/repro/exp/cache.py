@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 import time
 from pathlib import Path
 
@@ -173,11 +174,17 @@ class ResultCache:
         return True, value
 
     def put(self, key: str, value: object) -> Path:
-        """Store ``value`` under ``key`` (atomic rename within the dir)."""
+        """Store ``value`` under ``key`` (atomic rename within the dir).
+
+        Each writer stages its bytes in its own ``*.pkl.tmp`` file, so
+        two processes or threads putting one key never share, truncate
+        or steal each other's staging file; the last rename wins.
+        """
         self.put_count += 1
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = path.with_name(
+            f"{key}.{os.getpid()}-{threading.get_ident()}.pkl.tmp")
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             tmp.write_bytes(payload)

@@ -200,8 +200,8 @@ class Registry:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
         #: Named sampling hooks run by :meth:`collect` — how layers
-        #: with their own deterministic counters (engine,
-        #: fastforward) feed the registry without hot-path writes.
+        #: with their own deterministic counters (the engine) feed the
+        #: registry without hot-path writes.
         self._collectors: dict[str, object] = {}
 
     # -- declaration ----------------------------------------------------
@@ -358,30 +358,13 @@ def _engine_source() -> dict:
     return engine.global_counters()
 
 
-def _ff_source() -> dict:
-    from repro.sim import fastforward
-
-    return fastforward.totals()
-
-
 REGISTRY.add_collector("engine", _DeltaCollector(_engine_source, {
     "events_run": ("repro_engine_events_run_total",
                    "Engine event callbacks executed (all simulators, "
                    "absorbed from workers on sharded sweeps)"),
     "events_elided": ("repro_engine_events_elided_total",
-                      "Events resolved analytically by fast-forward / "
+                      "Scheduler wakes resolved inline by fast-forward "
                       "wake elision instead of dispatched"),
-}))
-
-REGISTRY.add_collector("fastforward", _DeltaCollector(_ff_source, {
-    "jumps": ("repro_ff_jumps_total",
-              "Steady-state fast-forward jumps taken"),
-    "cycles": ("repro_ff_jumped_cycles_total",
-               "Simulated picosecond-cycles skipped by jumps"),
-    "samples": ("repro_ff_samples_total",
-                "Probe samples synthesized inside jumps"),
-    "joint_jumps": ("repro_ff_joint_jumps_total",
-                    "Multi-agent (joint) fast-forward jumps"),
 }))
 
 

@@ -1,8 +1,10 @@
 """Differential equivalence harness: fast-forward on vs. off.
 
-The steady-state fast-forward engine (:mod:`repro.sim.fastforward`)
-promises *bit-identical* simulation results.  This module machine-
-checks that promise instead of trusting the argument:
+Fast-forward (:mod:`repro.sim.fastforward`) is wake-event elision: with
+it off every scheduler wake runs as a deferred engine event, with it on
+closed-loop tail submits are serviced inline.  Elision promises
+*bit-identical* simulation results.  This module machine-checks that
+promise instead of trusting the argument:
 
 * every **registered experiment** runs twice -- fast-forward forced
   off, then forced on -- at reduced-but-faithful scales, and the
@@ -29,7 +31,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sim import fastforward
+from repro.sim import engine, fastforward
 
 #: Reduced-but-faithful parameter points for the experiment sweep.
 #: Scales are chosen so the full 21-experiment double sweep stays
@@ -75,9 +77,9 @@ class DiffOutcome:
     detail: str = ""  #: first-mismatch path, empty when identical
     base_seconds: float = 0.0
     ff_seconds: float = 0.0
-    #: Fast-forward engagement during the "on" run (process deltas).
-    jumps: int = 0
-    cycles: int = 0
+    #: Wakes elided during the "on" run (process-wide engine delta,
+    #: absorbed from workers when trials run remotely).
+    elided: int = 0
     #: Path of the shrunken failing-spec artifact (scenario mismatches).
     artifact: str | None = None
 
@@ -104,24 +106,24 @@ class DiffReport:
 
     def to_text(self) -> str:
         lines = [f"{'name':24s} {'kind':10s} {'identical':9s} "
-                 f"{'ff jumps':>8s} {'speedup':>8s}"]
+                 f"{'elided':>8s} {'speedup':>8s}"]
         lines.append("-" * 64)
         for o in self.outcomes:
             lines.append(
                 f"{o.name:24s} {o.kind:10s} "
                 f"{'yes' if o.identical else 'NO':9s} "
-                f"{o.jumps:8d} {o.speedup:7.2f}x")
+                f"{o.elided:8d} {o.speedup:7.2f}x")
             if not o.identical:
                 lines.append(f"    first mismatch: {o.detail}")
                 if o.artifact:
                     lines.append(f"    shrunken spec:  {o.artifact}")
         n = len(self.outcomes)
         bad = len(self.mismatches)
-        jumps = sum(o.jumps for o in self.outcomes)
+        elided = sum(o.elided for o in self.outcomes)
         lines.append("-" * 64)
         lines.append(
             f"{n} case(s), {n - bad} identical, {bad} mismatched; "
-            f"{jumps} fast-forward jump(s) exercised")
+            f"{elided} wake(s) elided")
         return "\n".join(lines)
 
 
@@ -203,21 +205,28 @@ def _timed(fn):
     return value, time.perf_counter() - start
 
 
+def _off_then_on(run):
+    """``run()`` with fast-forward forced off, then on: (base, fast,
+    base seconds, on seconds, wakes elided during the "on" run)."""
+    with fastforward.forced("off"):
+        base, base_s = _timed(run)
+    before = engine.global_counters()["events_elided"]
+    with fastforward.forced("on"):
+        fast, ff_s = _timed(run)
+    elided = engine.global_counters()["events_elided"] - before
+    return base, fast, base_s, ff_s, elided
+
+
 def diff_scenario(spec, *, artifact_dir: str | None = None,
                   shrink: bool = True) -> DiffOutcome:
     """Run one spec through both engines and compare the deep capture."""
-    with fastforward.forced("off"):
-        base, base_s = _timed(lambda: deep_scenario_run(spec))
-    before = fastforward.totals()
-    with fastforward.forced("on"):
-        fast, ff_s = _timed(lambda: deep_scenario_run(spec))
-    after = fastforward.totals()
+    base, fast, base_s, ff_s, elided = _off_then_on(
+        lambda: deep_scenario_run(spec))
     detail = first_diff(fast, base) or ""
     outcome = DiffOutcome(
         name=spec.name, kind="scenario", identical=not detail,
         detail=detail, base_seconds=base_s, ff_seconds=ff_s,
-        jumps=after["jumps"] - before["jumps"],
-        cycles=after["cycles"] - before["cycles"])
+        elided=elided)
     if detail and shrink:
         minimal = shrink_spec(spec)
         outcome.artifact = write_artifact(minimal, outcome,
@@ -237,28 +246,19 @@ def diff_experiment(name: str, params: dict | None = None) -> DiffOutcome:
         value = run_experiment(name, dict(params), use_cache=False).value
         return canonicalize(value)
 
-    with fastforward.forced("off"):
-        base, base_s = _timed(run)
-    before = fastforward.totals()
-    with fastforward.forced("on"):
-        fast, ff_s = _timed(run)
-    after = fastforward.totals()
+    base, fast, base_s, ff_s, elided = _off_then_on(run)
     detail = first_diff(fast, base) or ""
     return DiffOutcome(
         name=name, kind="experiment", identical=not detail,
         detail=detail, base_seconds=base_s, ff_seconds=ff_s,
-        jumps=after["jumps"] - before["jumps"],
-        cycles=after["cycles"] - before["cycles"])
+        elided=elided)
 
 
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------
 def _mismatches(spec) -> bool:
-    with fastforward.forced("off"):
-        base = deep_scenario_run(spec)
-    with fastforward.forced("on"):
-        fast = deep_scenario_run(spec)
+    base, fast, *_ = _off_then_on(lambda: deep_scenario_run(spec))
     return first_diff(fast, base) is not None
 
 
@@ -340,8 +340,8 @@ def run_diffcheck(*, experiments: list[str] | None = None,
                   log=lambda msg: None) -> DiffReport:
     """The full sweep: named experiments + fuzzed scenario specs (the
     adversarial single-probe profile plus ``fuzz_multi`` multi-agent
-    periodic casts aimed at the joint fast-forward path) + explicit
-    spec files.
+    periodic casts whose co-running agents interleave with elision) +
+    explicit spec files.
 
     ``backend`` selects the sweep-execution backend the *experiment*
     runs fan out over (see :mod:`repro.dist`) — the equivalence check

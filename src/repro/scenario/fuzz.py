@@ -10,11 +10,12 @@ latency classes).
 
 The generator is the randomized half of the differential equivalence
 harness (``python -m repro diffcheck``): every spec runs once with
-steady-state fast-forward disabled and once enabled, and the results
-must be bit-identical.  It is deliberately *adversarial* toward the
-fast-forward engine -- multi-agent mixes, jittered probes, stop-on
-watchers and tiny thresholds all force the engine to decline or bound
-jumps, which is exactly the behaviour the harness must prove safe.
+fast-forward (wake-event elision) disabled and once enabled, and the
+results must be bit-identical.  It is deliberately *adversarial* --
+multi-agent mixes, jittered probes, stop-on watchers and tiny
+thresholds put foreign events, back-offs and early stops next to the
+elided wakes, which is exactly the behaviour the harness must prove
+safe.
 
 ``tests/equivalence/strategies.py`` re-exports these generators for
 test-suite use.
@@ -158,12 +159,11 @@ def random_specs(n: int, base_seed: int = 0x5EED) -> list[ScenarioSpec]:
 
 
 # ----------------------------------------------------------------------
-# Multi-agent periodic casts (the joint fast-forward fuzz profile)
+# Multi-agent periodic casts (the --fuzz-multi profile)
 # ----------------------------------------------------------------------
 def _periodic_probe(rng: random.Random, index: int,
                     bank: tuple[int, int]) -> AgentSpec:
-    """A jitter-free bounded probe: the periodic-friendly variant the
-    joint steady-state detector can actually engage with."""
+    """A jitter-free bounded probe (the periodic-friendly variant)."""
     first = rng.randrange(0, 48)
     n_rows = rng.choice((1, 2))
     return AgentSpec("probe", name=f"probe-{index}", params={
@@ -176,16 +176,13 @@ def _periodic_probe(rng: random.Random, index: int,
 
 def random_multiagent_spec(seed: int) -> ScenarioSpec:
     """One seeded multi-agent *periodic* scenario spec (deterministic
-    per seed): two or three agents whose superposition the joint
-    steady-state fast-forward path must either jump bit-identically or
-    soundly decline.
+    per seed): two or three co-running agents whose closed loops
+    interleave in the controller, so elided and deferred wakes mix.
 
     Where :func:`random_spec` is adversarial (jitter, stop-on
-    watchers), every cast here is periodic-friendly -- co-running
+    watchers), every cast here is a shape the paper runs -- co-running
     probes, a probe against an activation-noise generator, or a
-    window-synchronized covert sender + receiver pair -- so these
-    specs drive the joint detector's *engagement* paths, not just its
-    refusals.
+    window-synchronized covert sender + receiver pair.
     """
     rng = random.Random(seed)
     system = random_system(rng)
@@ -195,9 +192,9 @@ def random_multiagent_spec(seed: int) -> ScenarioSpec:
     other_bank = (rng.randrange(4), rng.randrange(4))
 
     if cast in ("probes", "three"):
-        # Same-bank probes interleave in the controller; split-bank
-        # probes superpose as commensurate independent loops.  Both
-        # shapes must hold bit-identically under joint jumps.
+        # Same-bank probes interleave in the bank FIFO; split-bank
+        # probes run as independent loops.  Both shapes must hold
+        # bit-identically under elision.
         banks = [shared_bank,
                  shared_bank if rng.random() < 0.5 else other_bank]
         if cast == "three":

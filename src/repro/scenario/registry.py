@@ -154,7 +154,6 @@ def _with_stop_on(ctx: BuildContext, probe, stop_on, on_sample):
     kinds = _event_kinds(stop_on)
     classify = ctx.classifier.classify
     inner = on_sample
-    inner_guard = probe._ff_observer_guard
 
     def watch(sample) -> None:
         if inner is not None:
@@ -162,20 +161,7 @@ def _with_stop_on(ctx: BuildContext, probe, stop_on, on_sample):
         if classify(sample.delta) in kinds:
             probe.stop()
 
-    def ff_guard(deltas) -> bool:
-        # Replaying the watcher over synthesized samples is safe only
-        # when no delta in the cycle classifies to a stopping kind (the
-        # stop must run live) and the wrapped observer's own guard --
-        # if there is one -- also approves.
-        if any(classify(d) in kinds for d in deltas):
-            return False
-        if inner is None:
-            return True
-        return (inner_guard is not None and inner_guard[0] is inner
-                and inner_guard[1](deltas))
-
     probe.on_sample = watch
-    probe._ff_observer_guard = (watch, ff_guard)
     return probe
 
 

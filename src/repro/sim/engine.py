@@ -68,7 +68,7 @@ def global_counters() -> dict[str, int]:
 def absorb_counters(delta: dict) -> None:
     """Fold a worker's counter delta into this process's totals (the
     dist coordinator calls this with the ``"m"`` field of a result
-    frame, mirroring :func:`repro.sim.fastforward.absorb_totals`)."""
+    frame)."""
     for key in _GLOBAL_COUNTERS:
         value = delta.get(key)
         if isinstance(value, int) and value > 0:
@@ -90,7 +90,7 @@ class Simulator:
 
     __slots__ = ("now", "_heap", "_fifo", "_fifo_head", "_imm",
                  "_imm_head", "_seq", "_events_run", "_events_elided",
-                 "_elided_published", "_running", "_stop_at")
+                 "_elided_published", "_running")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -104,22 +104,15 @@ class Simulator:
         self._events_elided: int = 0
         #: Portion of ``_events_elided`` already folded into the
         #: process-wide totals (publication happens at run() exit so
-        #: note_elided stays a bare increment on the ff hot path).
+        #: the controller's wake elision stays a bare increment).
         self._elided_published: int = 0
         self._running = False
-        #: ``until`` of the run() call currently executing (None when
-        #: not running or running without a limit); see run_horizon.
-        self._stop_at: int | None = None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> int:
+    def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run at absolute time ``time_ps``.
-
-        Returns the sequence number assigned to the event (the
-        fast-forward holder machinery records it so shifted events keep
-        their deterministic tie-break position).
 
         Lane admission (inlined in every scheduling method -- this is
         the hot path): the FIFO lane takes events at or beyond its tail
@@ -140,7 +133,6 @@ class Simulator:
             self._imm.append((time_ps, seq, callback, _NO_ARG))
         else:
             heapq.heappush(self._heap, (time_ps, seq, callback, _NO_ARG))
-        return seq
 
     def schedule(self, delay_ps: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay_ps`` picoseconds from now."""
@@ -161,13 +153,12 @@ class Simulator:
             heapq.heappush(self._heap, (time_ps, seq, callback, _NO_ARG))
 
     def schedule_call_at(self, time_ps: int, callback: Callable,
-                         arg) -> int:
+                         arg) -> None:
         """Schedule ``callback(arg)`` at absolute time ``time_ps``.
 
         Equivalent to ``schedule_at(time_ps, lambda: callback(arg))``
         but allocation-free on the hot path: no closure is created, the
-        argument rides along in the event entry itself.  Returns the
-        assigned sequence number (see :meth:`schedule_at`).
+        argument rides along in the event entry itself.
         """
         if time_ps < self.now:
             raise SimulationError(
@@ -183,7 +174,6 @@ class Simulator:
             self._imm.append((time_ps, seq, callback, arg))
         else:
             heapq.heappush(self._heap, (time_ps, seq, callback, arg))
-        return seq
 
     def schedule_call(self, delay_ps: int, callback: Callable, arg) -> None:
         """Schedule ``callback(arg)`` after ``delay_ps`` picoseconds."""
@@ -228,35 +218,6 @@ class Simulator:
             self._seq = seq
         return count
 
-    def push_entry(self, time_ps: int, seq: int, callback: Callable,
-                   arg=_NO_ARG) -> None:
-        """Insert an event with an explicit ``(time, seq)`` key.
-
-        The steady-state fast-forward coordinator uses this to *shift*
-        a parked agent's wake event across a jumped window: the shifted
-        entry carries exactly the sequence number event-accurate
-        execution would have assigned at the post-jump timestamp, so
-        same-instant tie-breaks stay bit-identical.  The key must not
-        lie in the executed past; entries always land on the heap (a
-        shift is rare -- once per jump per agent, not per event).
-        """
-        if time_ps < self.now:
-            raise SimulationError(
-                f"cannot push an entry at {time_ps} ps; now is "
-                f"{self.now} ps")
-        heapq.heappush(self._heap, (time_ps, seq, callback, arg))
-
-    def iter_pending(self) -> "Iterable[tuple]":
-        """Iterate over all pending ``(time, seq, callback, arg)``
-        entries, in no particular order (valid between runs and from
-        inside event callbacks).  The fast-forward coordinator scans
-        this to separate *foreign* events (refresh ticks, defense
-        timers, unmanaged agents) from parked participant wake events
-        it is about to shift."""
-        yield from self._imm[self._imm_head:]
-        yield from self._fifo[self._fifo_head:]
-        yield from self._heap
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -284,7 +245,6 @@ class Simulator:
                 "Simulator.run is not reentrant; do not call run() from "
                 "inside an event callback")
         self._running = True
-        self._stop_at = until
         stop_at = _NEVER if until is None else until
         remaining = _NEVER if max_events is None else max_events
         executed = 0
@@ -359,42 +319,13 @@ class Simulator:
                 _GLOBAL_COUNTERS["events_elided"] += elided_delta
                 self._elided_published = self._events_elided
             self._running = False
-            self._stop_at = None
         if until is not None and until > self.now:
             self.now = until
         return executed
 
     # ------------------------------------------------------------------
-    # Quiescence introspection (steady-state fast-forward support)
+    # Quiescence introspection (wake-elision support)
     # ------------------------------------------------------------------
-    def next_event_time(self) -> int | None:
-        """Timestamp of the earliest pending event, or ``None`` when no
-        event is pending.
-
-        Valid between runs and from inside event callbacks (the run
-        loop publishes lane consumption before every callback).  The
-        fast-forward engine uses this as its *quiescence horizon*: a
-        steady-state jump may only synthesize activity that completes
-        strictly before this time, because the pending event -- a
-        refresh tick, an RFM grid point, a back-off recovery, a stale
-        controller wake -- could perturb the periodic pattern.
-        """
-        best = None
-        imm = self._imm
-        if self._imm_head < len(imm):
-            best = imm[self._imm_head][0]
-        fifo = self._fifo
-        if self._fifo_head < len(fifo):
-            t = fifo[self._fifo_head][0]
-            if best is None or t < best:
-                best = t
-        heap = self._heap
-        if heap:
-            t = heap[0][0]
-            if best is None or t < best:
-                best = t
-        return best
-
     def quiescent_now(self) -> bool:
         """True when no pending event is scheduled at the *current*
         timestamp.
@@ -420,27 +351,10 @@ class Simulator:
         return True
 
     @property
-    def run_horizon(self) -> int | None:
-        """``until`` of the currently executing :meth:`run` call, or
-        ``None`` (no run in progress, or an unbounded run).
-
-        The fast-forward engine clamps every jump to this horizon:
-        whatever the caller does *after* a paused ``run(until=T)``
-        returns -- install a blocking interval, start another agent,
-        schedule an event -- must see no state synthesized beyond
-        ``T``, so incremental drivers stay bit-identical too.
-        """
-        return self._stop_at
-
-    def note_elided(self, n: int) -> None:
-        """Account for ``n`` events that steady-state fast-forward (or
-        wake elision) resolved analytically instead of dispatching."""
-        self._events_elided += n
-
-    @property
     def events_elided(self) -> int:
-        """Events resolved analytically rather than dispatched (see
-        :meth:`note_elided`); a fast-forward engagement diagnostic."""
+        """Scheduler wakes the controller's tail-submit elision resolved
+        inline instead of dispatching (see ``MemoryController.
+        submit_tail``); a fast-forward engagement diagnostic."""
         return self._events_elided
 
     @property

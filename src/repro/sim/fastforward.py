@@ -1,66 +1,17 @@
-"""Steady-state fast-forward: analytic jumps over periodic probe traffic.
+"""The fast-forward switch: wake-event elision on or off.
 
-The paper's channels ride on long stretches of perfectly periodic
-closed-loop probe traffic -- the same one- or two-row access cycle
-repeating until a *disturbance* (periodic refresh, RFM, PRAC back-off,
-a co-running agent) perturbs it.  Simulating those stretches event by
-event is the dominant cost of every experiment.  This module skips
-them analytically while staying **bit-identical** to event-accurate
-execution; ``python -m repro diffcheck`` machine-checks that claim
-over every registered experiment plus fuzzed scenarios.
-
-How a jump works
-----------------
-A :class:`LatencyProbe <repro.cpu.probe.LatencyProbe>` calls
-:meth:`FastForward.consider` at every *cycle boundary* (its address
-round-robin just wrapped).  The engine then:
-
-1. **Snapshots** the linear state of every component the cycle touches
-   -- engine seq counter, probe progress, per-bank timestamps and bus
-   reservations, memory-system counters, defense counters -- as a flat
-   tuple of ints (``lin``), plus an invariant tuple (``inv``) of values
-   that must not change at all between boundaries (open rows, block
-   counts, armed wake, ABO/cool-down flags ...).
-2. **Detects steady state** from three consecutive boundary snapshots:
-   the two successive ``lin`` differences must be elementwise equal
-   (the dynamics are translation-invariant, i.e. exactly periodic with
-   period ``P``), the ``inv`` tuples identical, and the probe's sample
-   pattern (latency deltas + addresses, relative to the boundary) must
-   repeat.
-3. **Bounds the jump**: ``N`` whole cycles are safe iff every
-   synthesized event lands strictly *before* the engine's earliest
-   pending event (the quiescence horizon -- a refresh tick, RFM grid
-   point, recovery event or stale wake pending in any lane), before the
-   probe's own ``stop_time``, within ``max_samples``, and within the
-   defense's headroom (no activation counter may reach its trigger
-   threshold mid-jump; see ``Defense.ff_cycle_cap``).
-4. **Applies** the jump in bulk: every ``lin`` field advances by
-   ``N x`` its per-cycle delta, and the probe's sample log is extended
-   with ``N`` copies of the boundary cycle's sample pattern shifted by
-   multiples of ``P``.  Simulated time itself needs no touch-up -- the
-   probe schedules its next issue at the post-jump timestamp and the
-   event engine leaps there, which is where the dispatch savings come
-   from.
-
-Safety invariants (why this is exact, not approximate)
-------------------------------------------------------
-* A jump only happens when the request queue is empty, the probe is
-  the only live activity, and every pending event lies beyond the
-  synthesized window -- so nothing can observe or perturb the skipped
-  iterations.
-* A jump never synthesizes beyond the active ``run(until=T)`` horizon
-  either: a caller that pauses the simulation and mutates state
-  between runs (installs a block, starts an agent, schedules an
-  event) sees exactly the event-accurate state at ``T``.
-* Equal successive differences over a full cycle are required on
-  *every* tracked field; anything non-linear (a counter reset, a block
-  interval, a first-touch materialization) breaks the equality and the
-  engine silently falls back to event-accurate execution.
-* Trigger thresholds are never crossed inside a jump: the defense caps
-  ``N`` so every counter stays strictly below its threshold, and the
-  crossing iteration runs live.
-* Conservative caps are always safe: jumping fewer cycles than allowed
-  just leaves more iterations to run event-accurately.
+The only fast path is *wake-event elision*
+(:meth:`MemoryController.submit_tail
+<repro.controller.controller.MemoryController.submit_tail>`): a
+closed-loop agent that submits from a tail position, with the queue
+empty and no other event pending at the current instant, has its
+request serviced inline instead of through a deferred scheduler-wake
+event.  Nothing can interleave between the submit and the wake it
+replaces, so every seq number lands in the same relative order and the
+result is **bit-identical** to the deferred path.  Each elided wake is
+counted in the engine's ``events_elided``; ``python -m repro
+diffcheck`` machine-checks the identity over every registered
+experiment plus fuzzed scenarios.
 
 Process-wide switches
 ---------------------
@@ -68,75 +19,19 @@ Process-wide switches
 (the default) resolves through :func:`resolve_enabled`: a
 :func:`forced` override (used by the diffcheck harness) beats the
 config field, which beats the ``REPRO_FAST_FORWARD`` environment
-variable (``off`` disables), which beats the default (**on** -- the
-equivalence suite gates the default, see ROADMAP).
+variable (``off`` disables), which beats the default (**on**).
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from contextlib import contextmanager
-from math import gcd
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.system import MemorySystem
 
 #: Environment switch consulted by :func:`resolve_enabled`.
 ENV_VAR = "REPRO_FAST_FORWARD"
 
 #: Process-wide forced override: "on", "off", or None (no override).
 _forced: str | None = None
-
-#: Process-wide engagement totals (diffcheck engagement evidence).
-_totals = {"jumps": 0, "cycles": 0, "samples": 0, "joint_jumps": 0}
-
-#: Consecutive failed steady-state checks before a probe's detection
-#: backs off, and the backoff ceiling (in skipped cycle boundaries).
-_BACKOFF_AFTER = 4
-_BACKOFF_MAX = 64
-
-#: Joint-detection bounds: boundary snapshots kept per system, the
-#: pending-event count above which the foreign-horizon scan falls back
-#: to the conservative ``next_event_time``, and the cap on the
-#: combined-period LCM hint (in multiples of the longest per-agent
-#: period) beyond which superposition detection is not worth chasing.
-_JOINT_HISTORY = 48
-_JOINT_SCAN_LIMIT = 96
-_JOINT_LCM_CAP = 64
-
-#: ``_consider_single`` status codes: *stuck* (ineligible, mismatched,
-#: backed off, or steady-but-capped -- the joint detector's cue),
-#: *detecting* (healthy track mid-detection, expected to jump within a
-#: boundary or two), *jumped*.
-_SINGLE_STUCK = 0
-_SINGLE_DETECTING = 1
-_SINGLE_JUMPED = 2
-
-
-class _Holder:
-    """A parked agent wake event, owned by the coordinator.
-
-    Participating agents schedule their loop-continuation events
-    through :meth:`FastForward.park` instead of the engine directly;
-    the holder records the event's ``(time, seq)`` key so a joint jump
-    can *shift* the wake across the synthesized window (re-inserting it
-    with exactly the key event-accurate execution would have used).
-    The superseded entry stays in its lane and dies on dispatch: a
-    shift is strictly positive, so a dead entry is recognizable by its
-    entry time disagreeing with the holder's."""
-
-    __slots__ = ("agent", "time", "seq", "cb", "armed")
-
-    def __init__(self, agent) -> None:
-        self.agent = agent
-        self.time = -1
-        self.seq = -1
-        self.cb = None
-        #: True while the wake event is pending (agent parked); False
-        #: from dispatch until the next park (agent mid-iteration).
-        self.armed = False
 
 
 def resolve_enabled(field: bool | None) -> bool:
@@ -179,683 +74,19 @@ def forced_mode() -> str | None:
     return _forced
 
 
+# The frozen benchmark harness still reads the names below:
+# bench/workloads.py:219-255 and bench/child.py:104-131 read
+# totals()["jumps"], ["joint_jumps"] and ["cycles"], and
+# bench/child.py:70-76 wraps FastForward.consider in its traced run.
+# Delete them together with those bench lines.
 def totals() -> dict:
-    """Process-wide jump totals since import (engagement evidence)."""
-    return dict(_totals)
-
-
-def absorb_totals(delta: dict) -> None:
-    """Fold a worker process's per-trial jump totals into this
-    process's, so engagement evidence (e.g. the diffcheck report's
-    jump column) stays truthful when trials execute remotely."""
-    for key in _totals:
-        _totals[key] += int(delta.get(key, 0))
-
-
-class _Track:
-    """Per-probe detection state: two boundary snapshots plus backoff."""
-
-    __slots__ = ("t0", "lin0", "t1", "lin1", "inv", "fails", "skip")
-
-    def __init__(self) -> None:
-        self.t0 = None
-        self.lin0 = None
-        self.t1 = None
-        self.lin1 = None
-        self.inv = None
-        self.fails = 0
-        self.skip = 0
-
-    def reset(self) -> None:
-        self.t0 = self.lin0 = self.t1 = self.lin1 = self.inv = None
-
-    def push(self, t: int, lin, inv) -> None:
-        if self.inv is not None and inv != self.inv:
-            # Invariant churn: restart detection from this boundary.
-            self.t1 = None
-            self.lin1 = None
-        self.t0 = self.t1
-        self.lin0 = self.lin1
-        self.t1 = t
-        self.lin1 = lin
-        self.inv = inv
-
-    def fail(self) -> None:
-        self.fails += 1
-        if self.fails >= _BACKOFF_AFTER:
-            self.skip = min(self.fails, _BACKOFF_MAX)
-            self.reset()
-
-
-def _diff(a, b):
-    """Per-segment elementwise difference ``b - a`` of two nested lin
-    tuples; ``None`` when the structures disagree (e.g. the bus
-    reservation list changed length between boundaries, or a joint
-    snapshot gained/lost a participant segment)."""
-    if len(a) != len(b):
-        return None
-    out = []
-    for sa, sb in zip(a, b):
-        if len(sa) != len(sb):
-            return None
-        out.append(tuple(y - x for x, y in zip(sa, sb)))
-    return tuple(out)
-
-
-def _extrapolate(lin, delta, k: int):
-    """``lin`` advanced ``k`` periods along per-period deltas."""
-    return tuple(tuple(v + d * k for v, d in zip(seg, dseg))
-                 for seg, dseg in zip(lin, delta))
+    """Always-zero jump totals (no analytic jumps exist)."""
+    return {"jumps": 0, "cycles": 0, "joint_jumps": 0}
 
 
 class FastForward:
-    """Coordinator owned by one :class:`~repro.system.MemorySystem`."""
+    """Placeholder whose :meth:`consider` does nothing (see the
+    comment above :func:`totals`)."""
 
-    #: Indices into the snapshot's segment tuple.
-    _ENGINE, _PROBE, _CTRL, _STATS, _DEFENSE = range(5)
-
-    def __init__(self, system: "MemorySystem") -> None:
-        self.system = system
-        self.sim = system.sim
-        self.controller = system.controller
-        self.stats = system.stats
-        self.defense = system.defense
-        #: Whether the configured defense opted into analytic jumps.
-        self.supported = bool(getattr(system.defense, "ff_supported",
-                                      False))
-        # Engagement diagnostics (per system).
-        self.jumps = 0
-        self.joint_jumps = 0
-        self.cycles_skipped = 0
-        self.samples_synthesized = 0
-        #: Parked wake events by agent, in agent-registration order
-        #: (dict preservation makes joint snapshots deterministic).
-        self._holders: dict = {}
-        self._dispatch_cb = self._dispatch
-        #: Joint-detection state: boundary snapshots by timestamp plus
-        #: their admission order, and the failure backoff counters.
-        self._joint_hist: dict = {}
-        self._joint_times: deque = deque()
-        self._joint_fails = 0
-        self._joint_skip = 0
-
-    # ------------------------------------------------------------------
-    def describe(self) -> dict:
-        """Engagement summary (diffcheck / bench reporting)."""
-        return {
-            "supported": self.supported,
-            "jumps": self.jumps,
-            "joint_jumps": self.joint_jumps,
-            "cycles_skipped": self.cycles_skipped,
-            "samples_synthesized": self.samples_synthesized,
-            "wakes_elided": self.controller.wakes_elided,
-            "events_elided": self.sim.events_elided,
-        }
-
-    # ------------------------------------------------------------------
-    # Holder rendezvous: participating agents park their next wake here
-    # instead of scheduling it directly, which is what lets a joint jump
-    # move every co-agent across the synthesized window at once.
-    # ------------------------------------------------------------------
-    def park(self, agent, time_ps: int, cb) -> None:
-        """Schedule ``cb`` at ``time_ps`` through a shiftable holder."""
-        holder = self._holders.get(agent)
-        if holder is None:
-            holder = self._holders[agent] = _Holder(agent)
-        holder.time = time_ps
-        holder.cb = cb
-        holder.armed = True
-        holder.seq = self.sim.schedule_call_at(time_ps, self._dispatch_cb,
-                                               holder)
-
-    def holder_of(self, agent):
-        return self._holders.get(agent)
-
-    def _dispatch(self, holder) -> None:
-        if holder.time != self.sim.now:
-            # Dead duplicate left behind by a holder shift (shifts are
-            # strictly positive, so entry time < holder time).
-            return
-        holder.armed = False
-        holder.cb()
-
-    # ------------------------------------------------------------------
     def consider(self, probe) -> None:
-        """Attempt a steady-state jump at ``probe``'s cycle boundary.
-
-        Called by the probe from its completion callback at every cycle
-        boundary, *before* the next issue event is scheduled -- so the
-        engine's pending events are exactly the outside world (refresh
-        ticks, defense timers, other agents), which is what makes the
-        quiescence horizon a sound jump bound.
-
-        Two detectors cooperate: the single-agent path (cheap, jumps
-        the probe alone and is bounded by every co-agent's next event,
-        which also covers co-agents that are *dormant* for a stretch),
-        and the joint path, which detects a superposed periodic steady
-        state across every holder-parked participant and jumps them all
-        at once.
-        """
-        if not self.supported:
-            return
-        controller = self.controller
-        if controller._queue_len or controller._backlog:
-            return
-        status = self._consider_single(probe)
-        if status == _SINGLE_JUMPED:
-            return
-        if status == _SINGLE_STUCK and len(self._holders) > 1:
-            # The joint detector only engages where the cheap path is
-            # *stuck* (ineligible, pattern mismatch, backed off, or
-            # steady-but-capped): a healthy single track mid-detection
-            # will jump within a boundary or two on its own, and paying
-            # a joint snapshot there is pure overhead.
-            self._consider_joint(probe)
-
-    def _consider_single(self, probe) -> int:
-        """The PR-4 single-probe detector; returns one of the
-        ``_SINGLE_*`` status codes (jumped / healthy mid-detection /
-        stuck)."""
-        # Dynamic eligibility: cheap attribute gates, checked every
-        # boundary because jitter/sleep/bounds can be (re)configured
-        # after construction.  Observers no longer disqualify outright:
-        # replay-safe observers (see LatencyProbe._ff_observer_guard)
-        # are vetted against the cycle's sample pattern in _snapshot.
-        if (probe.jitter_ps
-                or probe._sleeping_until is not None
-                or (probe.max_samples is None and probe.stop_time is None)):
-            return _SINGLE_STUCK
-        track = getattr(probe, "_ff_track", None)
-        if track is None:
-            track = probe._ff_track = _Track()
-        elif track.skip:
-            track.skip -= 1
-            return _SINGLE_STUCK
-
-        snap = self._snapshot(probe)
-        if snap is None:
-            track.fail()
-            return _SINGLE_STUCK
-        lin, inv = snap
-        now = self.sim.now
-        if (track.lin0 is None or inv != track.inv):
-            track.push(now, lin, inv)
-            return _SINGLE_DETECTING
-        period = now - track.t1
-        if period <= 0 or track.t1 - track.t0 != period:
-            track.fail()
-            track.push(now, lin, inv)
-            return _SINGLE_STUCK
-        d1 = _diff(track.lin0, track.lin1)
-        d2 = _diff(track.lin1, lin)
-        if d1 is None or d2 is None or d1 != d2:
-            track.fail()
-            track.push(now, lin, inv)
-            return _SINGLE_STUCK
-
-        cycle_len = len(probe.addrs) * probe.accesses_per_addr
-        dp = d1[self._PROBE]
-        if dp[0] != period or dp[1] != cycle_len:
-            # The probe's own progress must advance by exactly one full
-            # cycle per period, or the pattern is not what we synthesize.
-            track.fail()
-            track.push(now, lin, inv)
-            return _SINGLE_STUCK
-        # The window's stats delta must be *exactly* one probe cycle's
-        # worth of read services -- L requests, L reads, no writes,
-        # kinds summing to L, and command counts implied by the kinds.
-        # This is what proves the detection windows contained no other
-        # agent's activity: any foreign request serviced inside them
-        # would inflate these counters (even when, by coincidence, it
-        # does so equally in both windows -- the case a pure equal-
-        # differences check cannot see).  The jump window itself is
-        # foreign-free by construction (the quiescence horizon), so the
-        # extrapolated deltas must be too.
-        d_act, d_pre, d_rd, d_wr, d_hit, d_miss, d_conf, d_req = \
-            d1[self._STATS]
-        if (d_req != cycle_len or d_rd != cycle_len or d_wr != 0
-                or d_hit + d_miss + d_conf != cycle_len
-                or d_act != d_miss + d_conf or d_pre != d_conf):
-            track.fail()
-            track.push(now, lin, inv)
-            return _SINGLE_STUCK
-
-        n = self._max_cycles(probe, now, period, cycle_len, lin, d1)
-        if n <= 0:
-            track.push(now, lin, inv)
-            return _SINGLE_STUCK
-
-        self._apply(probe, now, period, cycle_len, lin, d1, n)
-        # Keep detection primed: the post-jump state sits exactly n
-        # periods further along the same steady trajectory, so the next
-        # live boundary can re-confirm (one diff) and jump again.
-        track.fails = 0
-        track.t0 = now + (n - 1) * period
-        track.lin0 = tuple(
-            tuple(v + d * (n - 1) for v, d in zip(seg, dseg))
-            for seg, dseg in zip(lin, d1))
-        track.t1 = now + n * period
-        track.lin1 = tuple(
-            tuple(v + d * n for v, d in zip(seg, dseg))
-            for seg, dseg in zip(lin, d1))
-        track.inv = inv
-        # Any joint-boundary snapshots taken before this jump describe a
-        # pre-jump trajectory; seeding a joint detection from them would
-        # compute wrong differences.
-        self._joint_hist.clear()
-        self._joint_times.clear()
-        return _SINGLE_JUMPED
-
-    # ------------------------------------------------------------------
-    def _snapshot(self, probe):
-        """(lin, inv) across engine, probe, controller, stats, defense;
-        ``None`` when a component cannot be snapshotted right now."""
-        controller = self.controller
-        plan_map = controller._addr_plan
-        plans = []
-        for addr in probe.addrs:
-            plan = plan_map.get(addr)
-            if plan is None:
-                return None
-            plans.append(plan)
-        plans = tuple(plans)
-        samples = probe.samples
-        cycle_len = len(probe.addrs) * probe.accesses_per_addr
-        if len(samples) < cycle_len:
-            return None
-        base = samples[-1].end_time
-        pattern = tuple((s.end_time - base, s.delta, s.addr)
-                        for s in samples[-cycle_len:])
-        observer = probe.on_sample
-        if observer is not None:
-            # Observers are only compatible with jumps when replaying
-            # them over synthesized samples provably cannot feed back
-            # into the physical simulation.  The probe publishes a
-            # (observer, guard) pair; the guard vets the cycle's
-            # latency deltas (e.g. "no BACKOFF-classified delta" for a
-            # receiver that sleeps on back-off).
-            guard = probe._ff_observer_guard
-            if (guard is None or guard[0] is not observer
-                    or not guard[1]([d for (_, d, _a) in pattern])):
-                return None
-        sim = self.sim
-        lin_engine = (sim._seq,)
-        lin_probe = (probe._prev_end, len(samples))
-        inv_probe = (pattern, probe._addr_idx, probe._repeat)
-        lin_ctrl, inv_ctrl = controller.ff_snapshot(plans)
-        lin_stats, inv_stats = self.stats.ff_snapshot()
-        defense_snap = self.defense.ff_snapshot(plans)
-        if defense_snap is None:
-            return None
-        lin_def, inv_def = defense_snap
-        lin = (lin_engine, lin_probe, lin_ctrl, lin_stats, lin_def)
-        inv = (inv_probe, inv_ctrl, inv_stats, inv_def, plans)
-        return lin, inv
-
-    def _max_cycles(self, probe, now: int, period: int, cycle_len: int,
-                    lin, delta) -> int:
-        """Largest safe jump, in whole cycles (conservative by design)."""
-        horizon = self.sim.next_event_time()
-        n = None
-        if horizon is not None:
-            # Every synthesized event must land strictly before the
-            # earliest pending event; the latest synthetic timestamp is
-            # the final cycle's completion at ``now + n * period``.
-            n = (horizon - 1 - now) // period
-        run_horizon = self.sim.run_horizon
-        if run_horizon is not None:
-            # Never synthesize beyond the active run(until=T) horizon:
-            # iterations completing at or before T would have executed
-            # inside this run anyway, while anything later must stay
-            # live so that state the caller mutates *between* runs
-            # (blocks, new agents, scheduled events) is honored.
-            cap = (run_horizon - now) // period
-            n = cap if n is None else min(n, cap)
-        if probe.stop_time is not None:
-            cap = (probe.stop_time - 1 - now) // period
-            n = cap if n is None else min(n, cap)
-        if probe.max_samples is not None:
-            cap = (probe.max_samples - len(probe.samples)) // cycle_len
-            n = cap if n is None else min(n, cap)
-        # Eligibility guarantees max_samples or stop_time, so n is set.
-        if n <= 0:
-            return 0
-        acts_per_cycle = delta[self._STATS][0]
-        cap = self.defense.ff_cycle_cap(lin[self._DEFENSE],
-                                        delta[self._DEFENSE],
-                                        acts_per_cycle)
-        if cap is not None:
-            n = min(n, cap)
-        return n
-
-    def _apply(self, probe, now: int, period: int, cycle_len: int,
-               lin, delta, n: int) -> None:
-        """Advance every component by ``n`` cycles in bulk."""
-        from repro.cpu.probe import LatencySample
-
-        sim = self.sim
-        d_seq = delta[self._ENGINE][0]
-        sim._seq += d_seq * n
-        # In steady state every event scheduled inside the window is
-        # also dispatched inside it, so the per-cycle seq delta counts
-        # the events this jump elided.
-        sim._events_elided += d_seq * n
-
-        samples = probe.samples
-        pattern = [(s.end_time - now, s.delta, s.addr)
-                   for s in samples[-cycle_len:]]
-        base = len(samples)
-        samples.extend(
-            LatencySample(now + c * period + off, d, a)
-            for c in range(1, n + 1) for (off, d, a) in pattern)
-        probe._prev_end = now + n * period
-        if probe.on_sample is not None:
-            # Batched observer catch-up over the synthesized tail; the
-            # guard vetted in _snapshot proved this cannot feed back.
-            probe._ff_replay(samples[base:])
-
-        plans = self._plans_of(probe)
-        self.controller.ff_apply(plans, delta[self._CTRL], n)
-        self.stats.ff_apply(delta[self._STATS], n)
-        self.defense.ff_apply(plans, delta[self._DEFENSE], n)
-
-        self.jumps += 1
-        self.cycles_skipped += n
-        self.samples_synthesized += n * cycle_len
-        _totals["jumps"] += 1
-        _totals["cycles"] += n
-        _totals["samples"] += n * cycle_len
-
-    def _plans_of(self, probe) -> tuple:
-        plan_map = self.controller._addr_plan
-        return tuple(plan_map[a] for a in probe.addrs)
-
-    # ------------------------------------------------------------------
-    # Joint (multi-agent) steady-state detection.
-    #
-    # A *superposed* periodic steady state is the composition of every
-    # live participant's cycle: it repeats with the combined period P
-    # (the LCM of the per-agent periods when they are commensurate).
-    # Detection keys on *rendezvous boundaries*: instants where the
-    # calling probe just completed a cycle and every other participant
-    # is holder-parked (its next wake pending, nothing in flight).  The
-    # joint snapshot taken there covers the engine, every participant's
-    # progress, the controller, stats, and the defense; a bounded
-    # history of such snapshots is scanned for a period P whose last
-    # two windows are exact time-translates (equal differences, equal
-    # invariants), with a capped LCM of the per-agent cycle periods
-    # tried first as a fast-path candidate.
-    # ------------------------------------------------------------------
-    def _consider_joint(self, probe) -> None:
-        if self._joint_skip:
-            self._joint_skip -= 1
-            return
-        holders = self._holders
-        participants = [a for a in holders if not a.done]
-        if len(participants) < 2 or probe not in holders:
-            return
-        for agent in participants:
-            if agent is not probe and not holders[agent].armed:
-                # A co-agent has a request in flight: this boundary is
-                # not a rendezvous, its snapshot would be mid-iteration.
-                return
-        snap = self._joint_snapshot(probe, participants)
-        if snap is None:
-            return
-        lin, inv = snap
-        now = self.sim.now
-
-        hist = self._joint_hist
-        period_delta = None
-        candidates = []
-        hint = self._combined_period_hint(participants)
-        if hint:
-            candidates.append(hint)
-        for t1 in reversed(self._joint_times):
-            p = now - t1
-            # Ascending candidate periods: the smallest superposed
-            # period both supported by history and steady wins.
-            if p > 0 and p != hint and (t1 - p) in hist:
-                candidates.append(p)
-        for p in candidates:
-            entry1 = hist.get(now - p)
-            entry0 = hist.get(now - 2 * p)
-            if entry1 is None or entry0 is None:
-                continue
-            if entry1[1] != inv or entry0[1] != inv:
-                continue
-            d1 = _diff(entry0[0], entry1[0])
-            d2 = _diff(entry1[0], lin)
-            if d1 is None or d2 is None or d1 != d2:
-                continue
-            period_delta = (p, d1)
-            break
-        self._joint_push(now, lin, inv)
-        if period_delta is None:
-            return
-        period, delta = period_delta
-        d_seq = delta[0][0]
-
-        # Per-agent verification: every participant whose state moved
-        # during the window must prove its own pattern is a translate
-        # (and vet observer replay); unmoved participants are dormant
-        # and simply bound the jump at their parked wake.
-        active = []
-        dormant = []
-        for i, agent in enumerate(participants):
-            d_agent = delta[1 + i]
-            if any(d_agent):
-                if not agent.ff_verify(now, period, d_agent, d_seq):
-                    self._joint_fail()
-                    return
-                active.append((agent, d_agent))
-            else:
-                dormant.append(agent)
-        if not active:
-            return
-        # Generalized purity: the window's stats delta must be exactly
-        # the sum of the active participants' request production -- the
-        # proof that the detection windows contained no unmodeled
-        # activity (see the single-path commentary).
-        reads = writes = 0
-        for agent, d_agent in active:
-            r, w = agent.ff_production(d_agent)
-            reads += r
-            writes += w
-        d_act, d_pre, d_rd, d_wr, d_hit, d_miss, d_conf, d_req = delta[-2]
-        if (d_req != reads + writes or d_rd != reads or d_wr != writes
-                or d_hit + d_miss + d_conf != d_req
-                or d_act != d_miss + d_conf or d_pre != d_conf):
-            self._joint_fail()
-            return
-
-        n = self._joint_max_cycles(probe, active, dormant, now, period,
-                                   lin, delta)
-        if n <= 0:
-            return
-        self._joint_apply(probe, participants, active, now, period, lin,
-                          inv, delta, n)
-
-    def _joint_snapshot(self, probe, participants):
-        """Joint (lin, inv) across engine, every participant, the
-        controller, stats, and defense; ``None`` when any participant
-        cannot be snapshotted right now."""
-        plan_map = self.controller._addr_plan
-        plans = []
-        seen = set()
-        for agent in participants:
-            addrs = getattr(agent, "ff_addrs", None)
-            if addrs is None:
-                return None
-            for addr in addrs():
-                plan = plan_map.get(addr)
-                if plan is None:
-                    return None
-                key = id(plan)
-                if key not in seen:
-                    seen.add(key)
-                    plans.append(plan)
-        plans = tuple(plans)
-        segs = [(self.sim._seq,)]
-        invs = [(probe.name, tuple(a.name for a in participants))]
-        for agent in participants:
-            state = agent.ff_state(self)
-            if state is None:
-                return None
-            segs.append(state[0])
-            invs.append(state[1])
-        lin_ctrl, inv_ctrl = self.controller.ff_snapshot(plans)
-        lin_stats, inv_stats = self.stats.ff_snapshot()
-        defense_snap = self.defense.ff_snapshot(plans)
-        if defense_snap is None:
-            return None
-        lin_def, inv_def = defense_snap
-        segs.extend((lin_ctrl, lin_stats, lin_def))
-        invs.extend((inv_ctrl, inv_stats, inv_def, plans))
-        return tuple(segs), tuple(invs)
-
-    def _combined_period_hint(self, participants) -> int | None:
-        """Capped LCM of the per-agent cycle periods (fast-path
-        candidate for the combined period); ``None`` when a participant
-        has no established period or the LCM blows past the cap."""
-        lcm = 1
-        longest = 0
-        for agent in participants:
-            hint_fn = getattr(agent, "ff_period_hint", None)
-            p = hint_fn() if hint_fn is not None else None
-            if not p or p <= 0:
-                return None
-            lcm = lcm * p // gcd(lcm, p)
-            if p > longest:
-                longest = p
-            if lcm > longest * _JOINT_LCM_CAP:
-                return None
-        return lcm
-
-    def _joint_push(self, t: int, lin, inv) -> None:
-        hist = self._joint_hist
-        if t not in hist:
-            self._joint_times.append(t)
-            if len(self._joint_times) > _JOINT_HISTORY:
-                hist.pop(self._joint_times.popleft(), None)
-        hist[t] = (lin, inv)
-
-    def _joint_fail(self) -> None:
-        self._joint_fails += 1
-        if self._joint_fails >= _BACKOFF_AFTER:
-            self._joint_skip = min(self._joint_fails, _BACKOFF_MAX)
-            self._joint_hist.clear()
-            self._joint_times.clear()
-
-    def _foreign_horizon(self, shifting) -> int | None:
-        """Earliest pending event that is *not* managed by this jump:
-        excludes the wake events of participants about to be shifted
-        and dead holder duplicates, keeps everything else (refresh
-        ticks, defense timers, dormant participants' wakes, unmanaged
-        agents).  Falls back to the plain quiescence horizon when the
-        pending set is too large to scan."""
-        sim = self.sim
-        if sim.pending_events > _JOINT_SCAN_LIMIT:
-            return sim.next_event_time()
-        dispatch = self._dispatch_cb
-        best = None
-        for entry in sim.iter_pending():
-            if entry[2] is dispatch:
-                holder = entry[3]
-                if entry[0] != holder.time:
-                    continue  # dead duplicate from an earlier shift
-                if holder in shifting:
-                    continue  # will be moved past the window
-            t = entry[0]
-            if best is None or t < best:
-                best = t
-        return best
-
-    def _joint_max_cycles(self, probe, active, dormant, now: int,
-                          period: int, lin, delta) -> int:
-        holders = self._holders
-        shifting = {holders[agent] for agent, _ in active
-                    if agent is not probe}
-        horizon = self._foreign_horizon(shifting)
-        n = None
-        if horizon is not None:
-            n = (horizon - 1 - now) // period
-        run_horizon = self.sim.run_horizon
-        if run_horizon is not None:
-            cap = (run_horizon - now) // period
-            n = cap if n is None else min(n, cap)
-        for agent, d_agent in active:
-            cap = agent.ff_cap(now, period, d_agent)
-            if cap is not None:
-                n = cap if n is None else min(n, cap)
-        for agent in dormant:
-            # Redundant with the foreign horizon (a dormant wake is a
-            # pending event) but kept explicit: no synthesized window
-            # may contain a dormant participant's wake-up.
-            cap = (holders[agent].time - 1 - now) // period
-            n = cap if n is None else min(n, cap)
-        if n is None or n <= 0:
-            return 0
-        cap = self.defense.ff_cycle_cap(lin[-1], delta[-1], delta[-2][0])
-        if cap is not None:
-            n = min(n, cap)
-        return n
-
-    def _joint_apply(self, probe, participants, active, now: int,
-                     period: int, lin, inv, delta, n: int) -> None:
-        """Advance every participant by ``n`` combined periods."""
-        sim = self.sim
-        d_seq = delta[0][0]
-        sim._seq += d_seq * n
-        sim._events_elided += d_seq * n
-        synthesized = 0
-        for agent, d_agent in active:
-            synthesized += agent.ff_jump(now, period, n, d_agent)
-        shift = period * n
-        seq_shift = d_seq * n
-        holders = self._holders
-        for agent, _d in active:
-            if agent is probe:
-                # The caller is mid-callback; it re-parks itself at the
-                # post-jump timestamp when consider() returns.
-                continue
-            holder = holders[agent]
-            holder.time += shift
-            holder.seq += seq_shift
-            sim.push_entry(holder.time, holder.seq, self._dispatch_cb,
-                           holder)
-        plans = inv[-1]
-        self.controller.ff_apply(plans, delta[-3], n)
-        self.stats.ff_apply(delta[-2], n)
-        self.defense.ff_apply(plans, delta[-1], n)
-
-        self.jumps += 1
-        self.joint_jumps += 1
-        self.cycles_skipped += n
-        self.samples_synthesized += synthesized
-        _totals["jumps"] += 1
-        _totals["joint_jumps"] += 1
-        _totals["cycles"] += n
-        _totals["samples"] += synthesized
-
-        # Cross-reset: single-agent tracks now describe a pre-jump
-        # trajectory; re-seed the joint history with the extrapolated
-        # boundary pair so the next rendezvous can re-confirm with one
-        # more live period and jump again.
-        for agent in participants:
-            track = getattr(agent, "_ff_track", None)
-            if track is not None:
-                track.reset()
-                # A short single-path skip keeps those boundaries
-                # reporting *stuck*, so the joint detector (whose
-                # re-seeded history can re-confirm with one more live
-                # window) is consulted immediately instead of waiting
-                # out a fresh single-track detection.
-                track.skip = 2
-        self._joint_fails = 0
-        self._joint_hist.clear()
-        self._joint_times.clear()
-        self._joint_push(now + (n - 1) * period,
-                         _extrapolate(lin, delta, n - 1), inv)
-        self._joint_push(now + n * period, _extrapolate(lin, delta, n),
-                         inv)
+        """No-op."""

@@ -152,32 +152,6 @@ class MemoryStats:
         picked.sort()
         return [interval for _, interval in picked]
 
-    # ------------------------------------------------------------------
-    # Steady-state fast-forward participation (repro.sim.fastforward):
-    # counters are recorded interval-batched over a jump -- one bulk
-    # add per jumped window instead of one increment per request.
-    # ------------------------------------------------------------------
-    #: Counters that advance linearly during a quiescent steady cycle.
-    _FF_LIN = ("activations", "precharges", "reads", "writes", "row_hits",
-               "row_misses", "row_conflicts", "requests_served")
-    #: Counters that may only change through a blocking event, which a
-    #: jump by construction never contains.
-    _FF_INV = ("refreshes", "rfm_commands", "backoffs", "para_refreshes")
-
-    def ff_snapshot(self) -> tuple[tuple, tuple]:
-        """(lin, inv) counter state for periodicity detection.  The
-        first lin entry is ``activations`` -- the fast-forward engine
-        hands its per-cycle delta to ``Defense.ff_cycle_cap``."""
-        lin = tuple(getattr(self, name) for name in self._FF_LIN)
-        inv = tuple(getattr(self, name) for name in self._FF_INV)
-        return lin, inv + (len(self.blocks),)
-
-    def ff_apply(self, delta, cycles: int) -> None:
-        """Bulk-add ``cycles`` steady cycles' worth of counters."""
-        for name, d in zip(self._FF_LIN, delta):
-            if d:
-                setattr(self, name, getattr(self, name) + d * cycles)
-
     @property
     def act_rate_summary(self) -> dict[str, int]:
         """Compact dict summary used by reports."""

@@ -24,7 +24,7 @@ from repro.defenses.factory import build_defense
 from repro.dram.address import AddressMapper
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
-from repro.sim.fastforward import FastForward, resolve_enabled
+from repro.sim.fastforward import resolve_enabled
 from repro.sim.stats import MemoryStats
 
 
@@ -43,13 +43,9 @@ class MemorySystem:
         self.defense = build_defense(self.sim, self.controller, config,
                                      self.stats)
         self.refresh = RefreshScheduler(self.sim, self.controller, config)
-        # Steady-state fast-forward (bit-identical; machine-checked by
-        # `python -m repro diffcheck`): wake-event elision in the
-        # controller plus the analytic jump coordinator probes consult.
-        enabled = resolve_enabled(config.fast_forward)
-        self.controller.ff_elide = enabled
-        self.fast_forward: FastForward | None = (
-            FastForward(self) if enabled else None)
+        # Fast-forward: wake-event elision in the controller
+        # (bit-identical; machine-checked by `python -m repro diffcheck`).
+        self.controller.ff_elide = resolve_enabled(config.fast_forward)
         self.refresh.start()
         self.defense.on_boot()
 

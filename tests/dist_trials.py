@@ -59,10 +59,10 @@ def ff_enabled(point):
     return fastforward.resolve_enabled(None)
 
 
-def ff_jumping_trial(point):
-    """A tiny probe run with fast-forward forced on, guaranteed to
-    take steady-state jumps in the worker (the engagement-totals
-    shipping path needs a trial with nonzero jump counts)."""
+def elision_trial(point):
+    """A tiny probe run with fast-forward forced on; returns how many
+    wakes its simulator elided (the engine-counter shipping path needs
+    a trial with a nonzero, known elided count)."""
     from repro.cpu.probe import LatencyProbe
     from repro.sim import fastforward
     from repro.sim.config import SystemConfig
@@ -70,12 +70,12 @@ def ff_jumping_trial(point):
 
     with fastforward.forced("on"):
         system = MemorySystem(SystemConfig())
-        probe = LatencyProbe(system, [system.mapper.encode(row=5)],
-                             max_samples=200)
-        probe.start()
-        while not probe.done:
-            system.sim.run(until=system.sim.now + 1_000_000)
-    return system.fast_forward.jumps
+    probe = LatencyProbe(system, [system.mapper.encode(row=5)],
+                         max_samples=200)
+    probe.start()
+    while not probe.done:
+        system.sim.run(until=system.sim.now + 1_000_000)
+    return system.sim.events_elided
 
 
 def always_crash(point):

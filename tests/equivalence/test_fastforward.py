@@ -1,11 +1,12 @@
-"""Steady-state fast-forward: unit equivalence + engine edge cases.
+"""Fast-forward (wake-event elision): unit equivalence + edge cases.
 
-Every test here runs the same workload twice -- fast-forward forced
-off, then on -- and asserts bit-identical observables.  The edge cases
-pin the jump-bound semantics the optimization's safety argument leans
-on: an event exactly at the quiescence horizon, zero-length jumps,
-interruption by a stale controller wake, and ``run(until)`` chunk
-boundaries landing inside a jumped window.
+The equivalence tests run the same workload twice -- fast-forward
+forced off, then on -- and assert bit-identical observables plus
+engagement (``events_elided > 0``).  The edge cases pin what the
+elision's safety argument leans on: a foreign event at the exact
+instant of a tail submit, dense foreign event chains, a stale
+controller wake, state mutated between paused runs, and the event
+accounting ``events_run(off) - events_run(on) == events_elided(on)``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu.probe import LatencyProbe
-from repro.sim import fastforward
+from repro.perf.diffcheck import diff_scenario
+from repro.scenario.fuzz import random_multiagent_spec, random_spec
+from repro.sim import engine, fastforward
 from repro.sim.config import (
     DefenseKind,
     DefenseParams,
@@ -71,12 +74,13 @@ def both_worlds(**kwargs):
 
 
 class TestJumpEquivalence:
+    """Single-probe streams: bit-identical with elision engaged."""
+
     def test_hit_stream_identical_and_jumps(self):
         (bs, bp), (fs, fp) = both_worlds(rows=(5,), max_samples=200)
         assert observables(bs, bp) == observables(fs, fp)
-        assert fs.fast_forward.jumps > 0
         assert fs.sim.events_elided > 0
-        # The jump's whole point: far fewer dispatched events.
+        # Elision's whole point: fewer dispatched events.
         assert fs.sim.events_run < bs.sim.events_run
 
     def test_conflict_stream_under_prac_identical(self):
@@ -84,70 +88,52 @@ class TestJumpEquivalence:
             rows=(5, 13), max_samples=400, nbo=48,
             refresh=RefreshPolicy.EVERY_TREFI)
         assert observables(bs, bp) == observables(fs, fp)
-        assert fs.fast_forward.jumps > 0
-        # Back-offs occurred (threshold crossings ran live, not jumped).
+        assert fs.sim.events_elided > 0
         assert fs.stats.backoffs > 0
         # Defense counters aged exactly.
         assert fs.defense.counters == bs.defense.counters
 
-    def test_jump_state_matches_elision_only_execution(self):
-        """The extrapolated state equals event-accurate (elision-only)
-        execution field by field -- including the logical event count
-        (dispatched + elided) and engine/controller seq counters."""
-        fs, fp = build_probe_system("on", rows=(5, 13), max_samples=300,
-                                    nbo=64)
-        run_to_completion(fs, fp)
-        assert fs.fast_forward.jumps > 0
-
-        orig = fastforward.FastForward.consider
-        fastforward.FastForward.consider = lambda self, probe: None
-        try:
-            es, ep = build_probe_system("on", rows=(5, 13),
-                                        max_samples=300, nbo=64)
-            run_to_completion(es, ep)
-        finally:
-            fastforward.FastForward.consider = orig
-
-        assert ep.samples == fp.samples
-        assert es.sim._seq == fs.sim._seq
-        assert es.controller._next_seq == fs.controller._next_seq
-        assert es.stats.act_rate_summary == fs.stats.act_rate_summary
-        assert es.defense.counters == fs.defense.counters
-        assert (es.sim.events_run ==
-                fs.sim.events_run + fs.sim.events_elided)
-
 
 class TestEdgeCases:
     def test_event_exactly_at_quiescence_horizon(self):
-        """A pending event whose timestamp coincides exactly with a
-        would-be synthetic iteration must fire *before* that iteration
-        is simulated: jumps stop strictly short of the horizon."""
+        """A foreign event pending at the exact instant of a tail
+        submit makes that instant non-quiescent: the wake must run
+        deferred, after the foreign event, as event-accurate execution
+        orders it -- and every other iteration still elides."""
         base_sys, base_probe = build_probe_system("off", max_samples=120)
         run_to_completion(base_sys, base_probe)
-        # Sentinel exactly at an iteration-completion timestamp, deep
-        # inside the steady stretch.
-        sentinel_time = base_probe.samples[70].end_time
+        completion = base_probe.samples[70].end_time
 
-        def run_with_sentinel(mode):
+        def run_with_sentinel(mode, sentinel=True):
             system, probe = build_probe_system(mode, max_samples=120)
             seen = []
-            system.sim.schedule_at(sentinel_time,
-                                   lambda: seen.append(len(probe.samples)))
+
+            def plant():
+                # Runs just after the completion callback scheduled the
+                # next issue, so the sentinel lands at the issue
+                # instant with a later seq than the issue event.
+                system.sim.schedule_at(
+                    completion + probe.overhead,
+                    lambda: seen.append((len(probe.samples),
+                                         system.controller.queued_requests)))
+
+            if sentinel:
+                system.sim.schedule_at(completion + 1, plant)
             run_to_completion(system, probe)
             return system, probe, seen
 
         bs, bp, base_seen = run_with_sentinel("off")
         fs, fp, ff_seen = run_with_sentinel("on")
-        assert fs.fast_forward.jumps > 0
-        # The sentinel observed the same number of recorded samples:
-        # fast-forward never synthesized at or past the horizon.
-        assert ff_seen == base_seen
+        # The sentinel saw the submitted request still queued (its wake
+        # deferred) in both worlds.
+        assert ff_seen == base_seen == [(71, 1)]
         assert observables(bs, bp) == observables(fs, fp)
+        clear = run_with_sentinel("on", sentinel=False)[0]
+        assert fs.sim.events_elided == clear.sim.events_elided - 1
 
     def test_zero_length_fast_forward(self):
-        """A horizon tighter than one period makes every would-be jump
-        zero-length: the engine must decline (not crash, not drift) and
-        results stay identical."""
+        """A foreign event chain denser than the probe period: elision
+        interleaves with it (or falls back) without drift."""
         base_sys, base_probe = build_probe_system("off", max_samples=40)
         run_to_completion(base_sys, base_probe)
         period = (base_probe.samples[21].end_time
@@ -155,8 +141,9 @@ class TestEdgeCases:
 
         def run_with_ticks(mode):
             system, probe = build_probe_system(mode, max_samples=40)
-            # A sentinel chain denser than the probe period: the
-            # quiescence horizon is always closer than one cycle.
+            # A sentinel chain denser than the probe period: foreign
+            # events land between (and sometimes on) the probe's
+            # submits.
             def tick():
                 system.sim.schedule(max(period // 2, 1), tick)
             system.sim.schedule(1, tick)
@@ -169,15 +156,14 @@ class TestEdgeCases:
 
         bs, bp = run_with_ticks("off")
         fs, fp = run_with_ticks("on")
-        assert fs.fast_forward.jumps == 0
-        assert fs.fast_forward.cycles_skipped == 0
         assert bp.samples == fp.samples
         assert bp.finish_time == fp.finish_time
 
     def test_interrupted_by_stale_wake(self):
         """An armed future controller wake (here: from a blocking
-        interval on an unrelated bank) bounds the jump; when it fires
-        it is stale and must be a no-op in both worlds."""
+        interval on an unrelated bank) goes stale under the probe's
+        submits, elided or not; when it fires it must be a no-op in
+        both worlds."""
         from repro.sim.stats import BlockKind
 
         def run_with_block(mode):
@@ -191,41 +177,18 @@ class TestEdgeCases:
 
         bs, bp = run_with_block("off")
         fs, fp = run_with_block("on")
-        assert fs.fast_forward.jumps > 0
+        assert fs.sim.events_elided > 0
         assert observables(bs, bp) == observables(fs, fp)
         # The stale wake fired in both worlds without rescheduling
         # anything: the controller ends unarmed.
         assert bs.controller._wake_at is None
         assert fs.controller._wake_at is None
 
-    def test_run_until_landing_mid_jump(self):
-        """Jumps are clamped to the active `run(until=T)` horizon, so
-        even *mid-run* state at every chunk boundary is bit-identical
-        to event-accurate execution -- not merely convergent."""
-        base_sys, base_probe = build_probe_system("off", max_samples=200)
-        run_to_completion(base_sys, base_probe)
-        period = (base_probe.samples[21].end_time
-                  - base_probe.samples[20].end_time)
-        step = 11 * period  # a chunk covers ~11 iterations
-
-        bs, bp = build_probe_system("off", max_samples=200)
-        fs, fp = build_probe_system("on", max_samples=200)
-        bp.start()
-        fp.start()
-        while not (bp.done and fp.done):
-            bs.sim.run(until=bs.sim.now + step)
-            fs.sim.run(until=fs.sim.now + step)
-            assert fs.sim.now == bs.sim.now
-            assert fp.samples == bp.samples
-        assert fs.fast_forward.jumps > 0
-        assert observables(bs, bp) == observables(fs, fp)
-
     def test_state_mutated_between_paused_runs(self):
         """A caller that pauses `run(until)` and then mutates system
         state (here: a blocking interval through the public
         `block_banks` API) must observe and influence exactly the
-        event-accurate physics -- the jump clamp makes synthesized-
-        ahead state impossible."""
+        event-accurate physics."""
         from repro.sim.stats import BlockKind
 
         def run_with_midway_block(mode):
@@ -243,27 +206,16 @@ class TestEdgeCases:
 
         bs, bp = run_with_midway_block("off")
         fs, fp = run_with_midway_block("on")
-        assert fs.fast_forward.jumps > 0
+        assert fs.sim.events_elided > 0
         # The block must show up as a perturbed iteration in *both*
         # worlds identically.
         assert max(s.delta for s in fp.samples) > 200_000
         assert observables(bs, bp) == observables(fs, fp)
 
-    def test_probe_without_bounds_never_jumps(self):
-        """A probe with neither max_samples nor stop_time has no safe
-        jump bound and must run event-accurately."""
-        fs, fp = build_probe_system("on", max_samples=None)
-        fp.stop_time = None
-        fp.start()
-        fs.sim.run(until=5_000_000)
-        assert fs.fast_forward.jumps == 0
-        assert len(fp.samples) > 20  # it did run
-
 
 class TestJointEquivalence:
-    """Superposed periodic steady states: multi-agent casts must be
-    bit-identical with joint fast-forward on, and the periodic-friendly
-    shapes must actually engage the joint detector."""
+    """Multi-agent casts: co-running agents mix elided and deferred
+    wakes, and every cast must stay bit-identical with elision on."""
 
     @staticmethod
     def _probe(name, bank, row, max_samples=240):
@@ -297,42 +249,27 @@ class TestJointEquivalence:
             stop=StopSpec(hard_limit_ps=400 * MS),
             measurements=tuple(measurements))
 
-    @staticmethod
-    def _both_worlds(spec):
-        """(first_diff, totals delta) for one spec run off then on."""
-        from repro.perf.diffcheck import deep_scenario_run, first_diff
-
-        with fastforward.forced("off"):
-            base = deep_scenario_run(spec)
-        before = fastforward.totals()
-        with fastforward.forced("on"):
-            fast = deep_scenario_run(spec)
-        after = fastforward.totals()
-        return (first_diff(fast, base),
-                {k: after[k] - before[k] for k in after})
-
     def test_two_split_bank_probes_joint_jump(self):
-        """Two commensurate probes on different banks: neither can jump
-        alone (the other's wakes foul its horizon), so any jumps here
-        are the joint detector's."""
-        diff, delta = self._both_worlds(self._spec("joint-split", [
+        """Two probes on different banks: their loops never share a
+        bank queue, so most of both probes' wakes elide."""
+        outcome = diff_scenario(self._spec("joint-split", [
             self._probe("p0", (0, 0), 5),
-            self._probe("p1", (1, 0), 9)]))
-        assert diff is None, diff
-        assert delta["joint_jumps"] > 0
+            self._probe("p1", (1, 0), 9)]), shrink=False)
+        assert outcome.identical, outcome.detail
+        assert outcome.elided > 0
 
     def test_two_same_bank_probes_identical(self):
-        """Interleaving in one bank FIFO: harder physics the joint path
-        must jump bit-identically or soundly decline."""
-        diff, _delta = self._both_worlds(self._spec("joint-same", [
+        """Interleaving in one bank FIFO: a submit into a busy queue
+        must fall back to the deferred wake."""
+        outcome = diff_scenario(self._spec("joint-same", [
             self._probe("p0", (0, 0), 5),
-            self._probe("p1", (0, 0), 13)]))
-        assert diff is None, diff
+            self._probe("p1", (0, 0), 13)]), shrink=False)
+        assert outcome.identical, outcome.detail
 
     def test_sender_receiver_joint_jump_and_replay(self):
         """The paper's covert pair: window-synchronized sender +
         receiver.  The raw per-sample capture pins the receiver's
-        batched ``on_sample`` observer replay sample by sample."""
+        ``on_sample`` window observer sample by sample."""
         from repro.scenario.spec import AgentSpec
         from repro.sim.engine import US
 
@@ -344,18 +281,16 @@ class TestJointEquivalence:
             "bank": (0, 0), "rows": (8,), "n_windows": 4,
             "epoch": 2 * US, "window_ps": 25 * US,
             "sleep_on_backoff": False})
-        diff, delta = self._both_worlds(
-            self._spec("joint-covert", [sender, receiver]))
-        assert diff is None, diff
-        assert delta["joint_jumps"] > 0
-        assert delta["samples"] > 0  # synthesized receiver samples
+        outcome = diff_scenario(
+            self._spec("joint-covert", [sender, receiver]), shrink=False)
+        assert outcome.identical, outcome.detail
+        assert outcome.elided > 0
 
     def test_covert_channel_long_windows_identical(self):
         """The PRAC covert channel with 200 us windows, where idle and
         post-back-off stretches dominate: the decode, the ground truth
         and every window's observation (back-offs, refreshes, sample
-        count) match event-accurate execution, and the sender +
-        receiver pair jumps jointly."""
+        count) match event-accurate execution."""
         from repro.core.prac_channel import (
             PracChannelConfig,
             PracCovertChannel,
@@ -369,31 +304,28 @@ class TestJointEquivalence:
                 return channel.transmit([1, 0, 1, 1, 0, 0, 1, 0])
 
         off = transmit("off")
-        before = fastforward.totals()
+        before = engine.global_counters()["events_elided"]
         on = transmit("on")
-        after = fastforward.totals()
+        elided = engine.global_counters()["events_elided"] - before
         assert on.decoded == off.decoded
         assert on.ground_truth_backoffs == off.ground_truth_backoffs
         assert on.ground_truth_rfms == off.ground_truth_rfms
         assert on.windows == off.windows
-        assert after["joint_jumps"] - before["joint_jumps"] > 0
+        assert elided > 0
 
     def test_probe_with_rw_noise_excluded_but_identical(self):
-        """A read/write-mix noise agent is ineligible (writes change
-        bank state the extrapolator does not model): the joint path
-        must refuse while it lives, and the run stays bit-identical.
-        Single-agent jumps may still fire once the noise retires."""
+        """A read/write-mix noise agent draws one RNG value per access;
+        elision must neither skip nor reorder those draws."""
         from repro.scenario.spec import AgentSpec
         from repro.sim.engine import US
 
         noise = AgentSpec("mixed-noise", name="rw", params={
             "bank": (1, 0), "rows": [70, 100], "intensity": 30.0,
             "stop_time": 300 * US, "burst": 1, "write_ratio": 0.5})
-        diff, delta = self._both_worlds(self._spec("joint-rw", [
-            self._probe("p0", (0, 0), 5), noise]))
-        assert diff is None, diff
-        assert delta["joint_jumps"] == 0
-        assert delta["jumps"] > 0  # post-retirement single jumps
+        outcome = diff_scenario(self._spec("joint-rw", [
+            self._probe("p0", (0, 0), 5), noise]), shrink=False)
+        assert outcome.identical, outcome.detail
+        assert outcome.elided > 0
 
 
 class TestWakeElision:
@@ -422,7 +354,7 @@ class TestWakeElision:
         base_system, base_log = run(tail=False, mode="off")
         ff_system, ff_log = run(tail=True, mode="on")
         assert ff_log == base_log
-        assert ff_system.controller.wakes_elided > 0
+        assert ff_system.sim.events_elided > 0
         assert ff_system.stats.act_rate_summary == \
             base_system.stats.act_rate_summary
 
@@ -434,7 +366,29 @@ class TestWakeElision:
         system.submit_tail(system.mapper.encode(row=1), done.append)
         system.sim.run(until=10_000_000)
         assert len(done) == 1
-        assert system.controller.wakes_elided == 0
+        assert system.sim.events_elided == 0
+
+    @pytest.mark.parametrize("make,seed", [
+        *((random_spec, seed) for seed in range(0x5EED, 0x5EED + 25)),
+        *((random_multiagent_spec, seed)
+          for seed in range(0xA117, 0xA117 + 15))])
+    def test_elided_wakes_account_for_every_missing_event(self, make,
+                                                          seed):
+        """Each elided wake is exactly one event the FF-off run
+        dispatches and the FF-on run does not."""
+        spec = make(seed)
+
+        def counts(mode):
+            with fastforward.forced(mode):
+                built = spec.build()
+                built.run()
+            sim = built.system.sim
+            return sim.events_run, sim.events_elided
+
+        run_off, elided_off = counts("off")
+        run_on, elided_on = counts("on")
+        assert elided_off == 0
+        assert run_off - run_on == elided_on
 
 
 class TestSwitches:
@@ -442,11 +396,11 @@ class TestSwitches:
         with fastforward.forced("off"):
             system = MemorySystem(SystemConfig(
                 refresh_policy=RefreshPolicy.NONE, fast_forward=True))
-        assert system.fast_forward is None
+        assert system.controller.ff_elide is False
         with fastforward.forced("on"):
             system = MemorySystem(SystemConfig(
                 refresh_policy=RefreshPolicy.NONE, fast_forward=False))
-        assert system.fast_forward is not None
+        assert system.controller.ff_elide is True
 
     def test_env_var_disables_default(self, monkeypatch):
         monkeypatch.setenv(fastforward.ENV_VAR, "off")
@@ -460,27 +414,12 @@ class TestSwitches:
             with fastforward.forced("sideways"):
                 pass  # pragma: no cover
 
-    def test_unknown_defense_subclass_disables_jumps(self):
-        from repro.defenses.base import Defense
-
-        class MysteryDefense(Defense):
-            pass
-
-        with fastforward.forced("on"):
-            system = MemorySystem(SystemConfig(
-                refresh_policy=RefreshPolicy.NONE))
-        mystery = MysteryDefense(system.sim, system.controller,
-                                 system.config, system.stats)
-        assert mystery.ff_supported is False
-        assert Defense(system.sim, system.controller, system.config,
-                       system.stats).ff_supported is True
-
     def test_quiescence_introspection(self):
         sim = Simulator()
-        assert sim.next_event_time() is None
+        assert sim.pending_events == 0
         assert sim.quiescent_now()
         sim.schedule(100, lambda: None)
-        assert sim.next_event_time() == 100
+        assert sim.pending_events == 1
         assert sim.quiescent_now()  # pending, but not at this instant
         sim.schedule(0, lambda: None)
         assert not sim.quiescent_now()

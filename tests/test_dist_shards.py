@@ -160,38 +160,6 @@ class TestFastForwardPropagation:
         assert on == [True]
 
 
-class TestPerSweepTotals:
-    def test_ff_totals_reported_per_sweep_not_accumulated(self, backend):
-        """Worker jump totals land in ``last_stats["ff_totals"]`` for
-        the reporting sweep only: a coordinator running many sweeps
-        must not accumulate earlier sweeps' counts into later reports
-        (the process-wide ``fastforward`` totals do accumulate)."""
-        from repro.sim import fastforward
-
-        before = fastforward.totals()
-        first = backend.run(dist_trials.ff_jumping_trial, [0, 1],
-                            [None] * 2, workers=1)
-        first_totals = backend.last_stats["ff_totals"]
-        assert all(jumps > 0 for jumps in first)
-        assert first_totals["jumps"] == sum(first)
-
-        second = backend.run(dist_trials.ff_jumping_trial, [0],
-                             [None], workers=1)
-        second_totals = backend.last_stats["ff_totals"]
-        assert second_totals["jumps"] == sum(second)
-        assert second_totals["jumps"] < first_totals["jumps"]
-
-        # The process-wide engagement evidence still accumulates.
-        after = fastforward.totals()
-        assert (after["jumps"] - before["jumps"]
-                == sum(first) + sum(second))
-
-    def test_ff_totals_zero_for_non_simulating_sweep(self, backend):
-        backend.run(dist_trials.square, [1, 2], [None] * 2, workers=1)
-        assert all(v == 0
-                   for v in backend.last_stats["ff_totals"].values())
-
-
 class TestCrashRecovery:
     def test_sweep_survives_a_worker_crash(self, backend, tmp_path):
         marker = str(tmp_path / "crashed-once")

@@ -175,3 +175,43 @@ class TestTmpOrphans:
         monkeypatch.undo()
         assert key not in cache
         assert cache.stats()["tmp_files"] == 0
+
+
+class TestConcurrentPut:
+    def test_two_writers_of_one_key_both_succeed(self, tmp_path,
+                                                 monkeypatch):
+        """Writer A pauses between its write and its rename while
+        writer B (another thread here; another process in the wild)
+        completes a put of the same key.  Both puts return, and the
+        entry reads back whole."""
+        import threading
+
+        key = stable_key({"k": "shared"})
+        writer_a = ResultCache(tmp_path)
+        writer_b = ResultCache(tmp_path)
+        errors = []
+
+        def put_b():
+            try:
+                writer_b.put(key, "from B")
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        real_replace = Path.replace
+        paused = []
+
+        def replace_after_b(self, target):
+            if not paused:
+                paused.append(self)
+                other = threading.Thread(target=put_b)
+                other.start()
+                other.join()
+            return real_replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace_after_b)
+        writer_a.put(key, "from A")
+        monkeypatch.undo()
+        assert errors == []
+        hit, value = ResultCache(tmp_path).get(key)
+        assert hit and value == "from A"  # the last rename wins
+        assert writer_a.stats()["tmp_files"] == 0

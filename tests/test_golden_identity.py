@@ -4,10 +4,10 @@ to the seed implementation.
 The expected values live in ``tests/golden/golden_identity.json``,
 captured from the *seed* (pre-optimization) simulator on fixed-seed
 covert-channel trials.  Any change to the event engine, controller
-scheduling, wake elision, steady-state fast-forward, bus arbitration,
-address mapping or statistics bookkeeping that alters simulation
-physics -- even a reordered tie-break -- fails here with a readable
-per-field diff and the exact regeneration command.
+scheduling, wake elision, bus arbitration, address mapping or
+statistics bookkeeping that alters simulation physics -- even a
+reordered tie-break -- fails here with a readable per-field diff and
+the exact regeneration command.
 
 If a test fails after an intentional *physics* change (e.g. a modeling
 fix), regenerate the goldens with::

@@ -128,7 +128,6 @@ class TestRegistry:
     def test_registry_singleton_has_core_collectors(self):
         names = list(REGISTRY._collectors)
         assert "engine" in names
-        assert "fastforward" in names
 
 
 # ----------------------------------------------------------------------
@@ -267,34 +266,17 @@ class TestSweepMetrics:
 
         def engine_delta(runner):
             before = engine_mod.global_counters()
-            runner.run(dist_trials.ff_jumping_trial, [0, 1], [None] * 2,
-                       workers=2)
+            elided = runner.run(dist_trials.elision_trial, [0, 1],
+                                [None] * 2, workers=2)
             after = engine_mod.global_counters()
-            return {k: after[k] - before[k] for k in after}
+            delta = {k: after[k] - before[k] for k in after}
+            assert delta["events_elided"] == sum(elided)
+            return delta
 
         serial = engine_delta(get_backend("serial"))
         assert serial["events_run"] > 0 and serial["events_elided"] > 0
         assert engine_delta(get_backend("pool")) == serial
         assert engine_delta(backend) == serial
-
-    def test_ff_gauges_reset_per_sweep_counters_accumulate(self, backend):
-        dispatched0 = REGISTRY.get_value(
-            "repro_dist_tasks_dispatched_total")
-
-        first = backend.run(dist_trials.ff_jumping_trial, [0, 1],
-                            [None] * 2, workers=1)
-        assert REGISTRY.get_value("repro_sweep_ff_jumps") == sum(first)
-        assert (REGISTRY.get_value("repro_sweep_ff_jumps")
-                == backend.last_stats["ff_totals"]["jumps"])
-
-        second = backend.run(dist_trials.ff_jumping_trial, [0],
-                             [None], workers=1)
-        # The per-sweep gauge reports the second sweep only ...
-        assert REGISTRY.get_value("repro_sweep_ff_jumps") == sum(second)
-        assert sum(second) < sum(first) + sum(second)
-        # ... while the process-lifetime dispatch counter accumulates.
-        assert (REGISTRY.get_value("repro_dist_tasks_dispatched_total")
-                - dispatched0) == 3
 
     def test_crash_requeue_lands_in_registry(self, backend, tmp_path):
         requeues0 = REGISTRY.get_value("repro_dist_requeues_total")
@@ -308,10 +290,14 @@ class TestSweepMetrics:
                 - requeues0) == 1
         assert REGISTRY.get_value("repro_sweep_requeues") == 1
         assert REGISTRY.get_value("repro_sweep_crashes") == 1
-        # Clean follow-up sweep: the per-sweep gauges start over.
+        dispatched = REGISTRY.get_value("repro_dist_tasks_dispatched_total")
+        # Clean follow-up sweep: the per-sweep gauges start over ...
         backend.run(dist_trials.square, [1], [None], workers=1)
         assert REGISTRY.get_value("repro_sweep_requeues") == 0
         assert REGISTRY.get_value("repro_sweep_crashes") == 0
+        # ... while the process-lifetime dispatch counter accumulates.
+        assert (REGISTRY.get_value("repro_dist_tasks_dispatched_total")
+                - dispatched) == 1
 
     def test_worker_trial_counts(self, backend):
         backend.run(dist_trials.square, list(range(6)), [None] * 6,
