@@ -17,6 +17,8 @@ def check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("X and y must have equal length")
     if len(X) == 0:
         raise ValueError("cannot fit on an empty dataset")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite (no NaN or inf)")
     return X, y
 
 

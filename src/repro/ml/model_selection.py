@@ -73,7 +73,8 @@ class StratifiedKFold:
 def cross_validate(model_factory: Callable[[], object], X, y,
                    n_splits: int = 10, seed: int = 0) -> dict:
     """Fit a fresh model per fold; report mean/std of the Table 2
-    metrics (accuracy, macro F1/precision/recall)."""
+    metrics (accuracy, and F1/precision/recall averaged over classes
+    weighted by their support)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     folds = StratifiedKFold(n_splits=n_splits, seed=seed).split(y)

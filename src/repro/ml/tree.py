@@ -1,9 +1,14 @@
 """CART decision trees (classification: Gini; regression: variance).
 
-Splits are found by sorting each candidate feature and scanning the
-prefix class counts -- the textbook CART algorithm.  ``max_features``
-enables the random-subspace behaviour random forests need, and
-``sample_weight`` support enables boosting.
+The textbook CART split search, vectorized: every fit sorts each
+feature once (a stable argsort of ``X``), and each node gets its
+per-feature row order by filtering its parent's order to its own rows.
+Filtering keeps tied values in row order, which is exactly the order a
+stable sort of the node's rows would give.  A node then scores all of
+its candidate features in one pass: prefix class counts (Gini) or
+prefix sums (variance) taken along the sample axis, one row per
+feature.  ``max_features`` enables the random-subspace behaviour
+random forests need, and ``sample_weight`` support enables boosting.
 """
 
 from __future__ import annotations
@@ -26,46 +31,46 @@ class _Node:
         self.value = value  # class-probability vector or mean target
 
 
-def _gini_gain(sorted_y: np.ndarray, sorted_w: np.ndarray,
-               n_classes: int) -> tuple[float, int]:
-    """Best weighted Gini impurity decrease over all split positions of
-    one pre-sorted feature; returns (impurity_after, split_position)."""
-    n = len(sorted_y)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), sorted_y] = sorted_w
-    prefix = np.cumsum(onehot, axis=0)
-    total = prefix[-1]
-    w_prefix = np.cumsum(sorted_w)
-    w_total = w_prefix[-1]
+def _gini_impurity(ys: np.ndarray, ws: np.ndarray,
+                   n_classes: int) -> np.ndarray:
+    """Weighted Gini impurity after each split position.
 
-    left = prefix[:-1]
-    right = total - left
-    wl = w_prefix[:-1]
+    ``ys``/``ws`` hold labels/weights as (features, n) rows, each in
+    that feature's sorted order; returns (features, n - 1), with inf
+    where a side would carry no weight.
+    """
+    onehot = np.where(ys[:, :, None] == np.arange(n_classes),
+                      ws[:, :, None], 0.0)
+    prefix = np.cumsum(onehot, axis=1)
+    w_prefix = np.cumsum(ws, axis=1)
+    w_total = w_prefix[:, -1:]
+
+    left = prefix[:, :-1]
+    right = prefix[:, -1:] - left
+    wl = w_prefix[:, :-1]
     wr = w_total - wl
     with np.errstate(divide="ignore", invalid="ignore"):
-        gini_l = 1.0 - np.sum((left / wl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / wr[:, None]) ** 2, axis=1)
-    impurity = (wl * gini_l + wr * gini_r) / w_total
-    impurity = np.where((wl <= 0) | (wr <= 0), np.inf, impurity)
-    pos = int(np.argmin(impurity))
-    return float(impurity[pos]), pos
+        # Sum classes over the last, contiguous axis: each position's
+        # float reduction then groups exactly as a one-feature scan's
+        # does, so split choices do not move in the last bits.
+        gini_l = 1.0 - np.sum((left / wl[:, :, None]) ** 2, axis=2)
+        gini_r = 1.0 - np.sum((right / wr[:, :, None]) ** 2, axis=2)
+        impurity = (wl * gini_l + wr * gini_r) / w_total
+    return np.where((wl <= 0) | (wr <= 0), np.inf, impurity)
 
 
-def _variance_gain(sorted_y: np.ndarray) -> tuple[float, int]:
-    """Best summed-SSE split of one pre-sorted feature (regression)."""
-    n = len(sorted_y)
-    prefix = np.cumsum(sorted_y)
-    prefix_sq = np.cumsum(sorted_y ** 2)
-    counts = np.arange(1, n)
-    sum_l = prefix[:-1]
-    sum_r = prefix[-1] - sum_l
-    sq_l = prefix_sq[:-1]
-    sq_r = prefix_sq[-1] - sq_l
-    n_l = counts
-    n_r = n - counts
-    sse = (sq_l - sum_l ** 2 / n_l) + (sq_r - sum_r ** 2 / n_r)
-    pos = int(np.argmin(sse))
-    return float(sse[pos]), pos
+def _sse(ys: np.ndarray) -> np.ndarray:
+    """Summed squared error of both sides after each split position,
+    (features, n) sorted targets -> (features, n - 1)."""
+    n = ys.shape[1]
+    prefix = np.cumsum(ys, axis=1)
+    prefix_sq = np.cumsum(ys ** 2, axis=1)
+    n_l = np.arange(1, n)
+    sum_l = prefix[:, :-1]
+    sum_r = prefix[:, -1:] - sum_l
+    sq_l = prefix_sq[:, :-1]
+    sq_r = prefix_sq[:, -1:] - sq_l
+    return (sq_l - sum_l ** 2 / n_l) + (sq_r - sum_r ** 2 / (n - n_l))
 
 
 class _BaseTree:
@@ -93,8 +98,10 @@ class _BaseTree:
     def _is_pure(self, y: np.ndarray) -> bool:
         raise NotImplementedError
 
-    def _best_split_of(self, x_sorted_y: np.ndarray, w: np.ndarray
-                       ) -> tuple[float, int]:
+    def _split_scores(self, y: np.ndarray, w: np.ndarray,
+                      sorted_rows: np.ndarray) -> np.ndarray:
+        """Impurity after each split position of each feature's row
+        order in ``sorted_rows`` (features, n) -> (features, n - 1)."""
         raise NotImplementedError
 
     # Builder -----------------------------------------------------------
@@ -108,49 +115,70 @@ class _BaseTree:
             return max(1, min(mf, n_features))
         raise ValueError(f"bad max_features: {mf!r}")
 
+    def _grow(self, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> None:
+        self._rng = np.random.default_rng(self.seed)
+        order = np.argsort(X.T, axis=1, kind="stable")
+        self._root = self._build(X, y, w, np.arange(len(X)), order, 0)
+
     def _build(self, X: np.ndarray, y: np.ndarray, w: np.ndarray,
-               depth: int) -> _Node:
-        node = _Node(self._leaf_value(y, w))
-        n, n_features = X.shape
-        if (n < self.min_samples_split or self._is_pure(y)
+               rows: np.ndarray, order: np.ndarray, depth: int) -> _Node:
+        """Grow the subtree over ``rows`` (ascending); ``order[f]``
+        lists the same rows sorted by feature ``f``."""
+        y_node = y[rows]
+        node = _Node(self._leaf_value(y_node, w[rows]))
+        n_features = X.shape[1]
+        if (len(rows) < self.min_samples_split or n_features == 0
+                or self._is_pure(y_node)
                 or (self.max_depth is not None and depth >= self.max_depth)):
             return node
 
         k = self._n_candidate_features(n_features)
         if k < n_features:
             candidates = self._rng.choice(n_features, size=k, replace=False)
+            split = self._best_split(X, y, w, order[candidates], candidates)
         else:
-            candidates = np.arange(n_features)
-
-        best = (np.inf, -1, 0.0)  # (impurity, feature, threshold)
-        for feature in candidates:
-            order = np.argsort(X[:, feature], kind="stable")
-            xs = X[order, feature]
-            if xs[0] == xs[-1]:
-                continue
-            impurity, pos = self._best_split_of(y[order], w[order])
-            # Move the split to the last index sharing the value so the
-            # threshold separates distinct feature values.
-            while pos < n - 1 and xs[pos] == xs[pos + 1]:
-                pos += 1
-            if pos >= n - 1:
-                continue
-            if (pos + 1 < self.min_samples_leaf
-                    or n - pos - 1 < self.min_samples_leaf):
-                continue
-            if impurity < best[0]:
-                threshold = (xs[pos] + xs[pos + 1]) / 2.0
-                best = (impurity, int(feature), threshold)
-
-        if best[1] < 0:
+            split = self._best_split(X, y, w, order, np.arange(n_features))
+        if split is None:
             return node
-        _, feature, threshold = best
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], w[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], w[~mask], depth + 1)
+        node.feature, node.threshold = split
+        go_left = X[:, node.feature] <= node.threshold
+        in_left = go_left[rows]
+        sel = go_left[order]
+        node.left = self._build(X, y, w, rows[in_left],
+                                order[sel].reshape(n_features, -1),
+                                depth + 1)
+        node.right = self._build(X, y, w, rows[~in_left],
+                                 order[~sel].reshape(n_features, -1),
+                                 depth + 1)
         return node
+
+    def _best_split(self, X: np.ndarray, y: np.ndarray, w: np.ndarray,
+                    sorted_rows: np.ndarray, candidates: np.ndarray
+                    ) -> tuple[int, float] | None:
+        """``(feature, threshold)`` of the least-impurity split, the
+        first in candidate order on equal impurity, or None.
+        ``sorted_rows[i]`` lists the node's rows sorted by feature
+        ``candidates[i]``."""
+        n = sorted_rows.shape[1]
+        xs = X[sorted_rows, candidates[:, None]]
+        impurity = self._split_scores(y, w, sorted_rows)
+        lanes = np.arange(len(candidates))
+        pos = np.argmin(impurity, axis=1)
+        best = impurity[lanes, pos]
+        # Move each split to the last index sharing its value so the
+        # threshold separates distinct feature values (a constant
+        # feature has no such index).
+        cuts = xs[:, 1:] != xs[:, :-1]
+        cuts &= np.arange(n - 1) >= pos[:, None]
+        pos = np.argmax(cuts, axis=1)
+        leaf = self.min_samples_leaf
+        valid = (cuts[lanes, pos] & (pos + 1 >= leaf) & (n - pos - 1 >= leaf)
+                 & (best < np.inf))
+        if not valid.any():
+            return None
+        j = int(np.argmin(np.where(valid, best, np.inf)))
+        p = pos[j]
+        return int(candidates[j]), (xs[j, p] + xs[j, p + 1]) / 2.0
 
     def _predict_node(self, x: np.ndarray) -> _Node:
         node = self._root
@@ -191,8 +219,9 @@ class DecisionTreeClassifier(_BaseTree, Classifier):
     def _is_pure(self, y: np.ndarray) -> bool:
         return bool((y == y[0]).all())
 
-    def _best_split_of(self, sorted_y, w) -> tuple[float, int]:
-        return _gini_gain(sorted_y, w, self._n_classes)
+    def _split_scores(self, y, w, sorted_rows) -> np.ndarray:
+        return _gini_impurity(y[sorted_rows], w[sorted_rows],
+                              self._n_classes)
 
     def fit(self, X, y, sample_weight=None) -> "DecisionTreeClassifier":
         X, y = check_xy(X, y)
@@ -203,10 +232,10 @@ class DecisionTreeClassifier(_BaseTree, Classifier):
             w = np.ones(len(y))
         else:
             w = np.asarray(sample_weight, dtype=float)
-            if len(w) != len(y) or (w < 0).any():
+            if (len(w) != len(y) or not np.isfinite(w).all()
+                    or (w < 0).any()):
                 raise ValueError("bad sample_weight")
-        self._rng = np.random.default_rng(self.seed)
-        self._root = self._build(X, encoded, w, depth=0)
+        self._grow(X, encoded, w)
         return self
 
     def predict_proba(self, X) -> np.ndarray:
@@ -236,17 +265,14 @@ class DecisionTreeRegressor(_BaseTree):
     def _is_pure(self, y: np.ndarray) -> bool:
         return bool(np.all(y == y[0]))
 
-    def _best_split_of(self, sorted_y, w) -> tuple[float, int]:
-        return _variance_gain(sorted_y.astype(float))
+    def _split_scores(self, y, w, sorted_rows) -> np.ndarray:
+        return _sse(y[sorted_rows])
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or len(X) != len(y):
-            raise ValueError("bad regression dataset")
+        X, y = check_xy(X, y)
+        y = y.astype(float)
         self.n_features_ = X.shape[1]
-        self._rng = np.random.default_rng(self.seed)
-        self._root = self._build(X, y, np.ones(len(y)), depth=0)
+        self._grow(X, y, np.ones(len(y)))
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -262,6 +262,18 @@ class TestTraceReplay:
         assert agent.completed == 20
         assert max_seen <= 2
 
+    def test_wakes_grow_linearly_with_trace_length(self):
+        """One pending wake per due time: a wake that finds the next
+        record not yet due must not stack another one on top of the
+        wake already armed for it (that made wakes quadratic)."""
+        system = make_system()
+        trace = [(i * 1 * US, system.mapper.encode(row=i % 4))
+                 for i in range(200)]
+        agent = TraceReplayAgent(system, trace)
+        run_agents(system, [agent], hard_limit=50 * MS)
+        assert agent.completed == 200
+        assert system.sim.events_run <= 3 * len(trace)
+
     def test_empty_trace_finishes_immediately(self):
         system = make_system()
         agent = TraceReplayAgent(system, [])

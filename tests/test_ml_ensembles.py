@@ -85,6 +85,12 @@ class TestGradientBoosting:
         with pytest.raises(ValueError):
             GradientBoostingClassifier(learning_rate=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        with pytest.raises(ValueError):
+            GradientBoostingClassifier(n_estimators=2).fit(
+                [[1.0], [bad], [3.0]], [0, 1, 0])
+
 
 class TestAdaBoost:
     def test_fits_blobs(self):

@@ -90,6 +90,25 @@ class TestClassifier:
         with pytest.raises(ValueError):
             DecisionTreeClassifier(min_samples_split=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        # A NaN/inf midpoint threshold sends every row to one child,
+        # so fitting used to recurse without end.
+        with pytest.raises(ValueError):
+            DecisionTreeClassifier().fit([[1.0], [bad], [3.0]], [0, 1, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_sample_weight(self, bad):
+        with pytest.raises(ValueError):
+            DecisionTreeClassifier().fit([[1.0], [2.0], [3.0]], [0, 1, 0],
+                                         sample_weight=[1.0, bad, 1.0])
+
+    def test_no_features_fits_majority_leaf(self):
+        tree = DecisionTreeClassifier(max_features="sqrt").fit(
+            np.empty((3, 0)), [0, 1, 1])
+        assert tree.depth == 0
+        assert list(tree.predict(np.empty((2, 0)))) == [1, 1]
+
     def test_max_features_subsampling_still_learns(self):
         X, y = blobs(dim=8)
         tree = DecisionTreeClassifier(max_features="sqrt", seed=3).fit(X, y)
@@ -106,6 +125,96 @@ class TestClassifier:
         tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
         majority = max(np.mean(y), 1 - np.mean(y))
         assert tree.score(X, y) >= majority
+
+
+def reference_gini(sorted_y, sorted_w, n_classes):
+    """Per-feature Gini scan: (least impurity, its first position)."""
+    n = len(sorted_y)
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), sorted_y] = sorted_w
+    prefix = np.cumsum(onehot, axis=0)
+    w_prefix = np.cumsum(sorted_w)
+    left, wl = prefix[:-1], w_prefix[:-1]
+    right, wr = prefix[-1] - left, w_prefix[-1] - wl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_l = 1.0 - np.sum((left / wl[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right / wr[:, None]) ** 2, axis=1)
+        impurity = (wl * gini_l + wr * gini_r) / w_prefix[-1]
+    impurity = np.where((wl <= 0) | (wr <= 0), np.inf, impurity)
+    pos = int(np.argmin(impurity))
+    return impurity[pos], pos
+
+
+def reference_sse(sorted_y):
+    """Per-feature variance scan: (least SSE, its first position)."""
+    n = len(sorted_y)
+    prefix, prefix_sq = np.cumsum(sorted_y), np.cumsum(sorted_y ** 2)
+    n_l = np.arange(1, n)
+    sum_l, sq_l = prefix[:-1], prefix_sq[:-1]
+    sum_r, sq_r = prefix[-1] - sum_l, prefix_sq[-1] - sq_l
+    sse = (sq_l - sum_l ** 2 / n_l) + (sq_r - sum_r ** 2 / (n - n_l))
+    pos = int(np.argmin(sse))
+    return sse[pos], pos
+
+
+def reference_best_split(tree, X, y, w, candidates):
+    """The textbook loop the vectorized split search must reproduce bit
+    for bit: stable-sort each candidate feature, take its first
+    least-impurity position, move it to the end of its run of equal
+    values, and keep the first feature with strictly less impurity."""
+    n = len(y)
+    leaf = tree.min_samples_leaf
+    best = (np.inf, None)
+    for feature in candidates:
+        order = np.argsort(X[:, feature], kind="stable")
+        xs = X[order, feature]
+        if isinstance(tree, DecisionTreeRegressor):
+            impurity, pos = reference_sse(y[order])
+        else:
+            impurity, pos = reference_gini(y[order], w[order],
+                                           tree._n_classes)
+        while pos < n - 1 and xs[pos] == xs[pos + 1]:
+            pos += 1
+        if pos >= n - 1 or pos + 1 < leaf or n - pos - 1 < leaf:
+            continue
+        if impurity < best[0]:
+            best = (impurity,
+                    (int(feature), (xs[pos] + xs[pos + 1]) / 2.0))
+    return best[1]
+
+
+class TestSplitSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    def test_matches_per_feature_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, n_features = int(rng.integers(2, 25)), int(rng.integers(1, 7))
+        X = rng.normal(size=(n, n_features))
+        n_int = int(rng.integers(0, n_features + 1))
+        X[:, :n_int] = rng.integers(0, 3, size=(n, n_int))  # ties
+        n_classes = int(rng.integers(1, 5))
+        y = rng.integers(0, n_classes, size=n)
+        w = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 2, size=n))
+        candidates = rng.permutation(n_features)[
+            :int(rng.integers(1, n_features + 1))]
+        order = np.argsort(X.T, axis=1, kind="stable")
+        leaf = int(rng.integers(1, 4))
+        classifier = DecisionTreeClassifier(min_samples_leaf=leaf)
+        classifier._n_classes = n_classes
+        regressor = DecisionTreeRegressor(min_samples_leaf=leaf)
+        target = X @ rng.normal(size=n_features)
+        for tree, labels, weights in ((classifier, y, w),
+                                      (regressor, target, np.ones(n))):
+            got = tree._best_split(X, labels, weights, order[candidates],
+                                   candidates)
+            want = reference_best_split(tree, X, labels, weights,
+                                        candidates)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert got[0] == want[0]
+                assert got[1].hex() == want[1].hex()
 
 
 class TestRegressor:
@@ -130,6 +239,16 @@ class TestRegressor:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             DecisionTreeRegressor().predict([[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        with pytest.raises(ValueError):
+            DecisionTreeRegressor().fit([[1.0], [bad], [3.0]],
+                                        [0.0, 1.0, 0.0])
+
+    def test_rejects_empty_dataset(self):
+        with pytest.raises(ValueError):
+            DecisionTreeRegressor().fit(np.empty((0, 2)), [])
 
     def test_deeper_tree_reduces_error(self):
         rng = np.random.default_rng(2)
