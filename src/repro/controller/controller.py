@@ -4,8 +4,12 @@ The controller services one request *atomically*: when a request is
 selected it computes the (PRE,) ACT, RD command times and the completion
 time in one step, honoring per-bank timing constraints, the shared data
 bus, and any blocking intervals (periodic refresh, RFM commands, PRAC
-back-off recovery) that defenses or the refresh scheduler installed by
-extending ``BankState.busy_until``.
+back-off recovery) that defenses or the refresh scheduler installed
+through :meth:`MemoryController.block_banks`.  A block on a subset of
+banks raises those banks' ``busy_until`` and closes them; a block on a
+whole rank touches only the rank's :class:`~repro.dram.bank.RankState`
+(its busy horizon and close epoch) in O(1), and each bank folds it in
+lazily the next time the controller reads that bank.
 
 This models the same latency *structure* as a per-cycle DRAM simulator
 for the quantities the paper measures -- the latency gaps between row
@@ -25,6 +29,14 @@ one or two in the paper's attack workloads) instead of every queued
 request, and servicing a request is O(1) instead of the former
 O(queue) ``list.remove``.  Every request precomputes its flat bank
 index and bank reference once, at submit time.
+
+Every read of a bank's ``open_row``, ``hit_streak`` or ``busy_until``
+-- the wake-elision test in :meth:`MemoryController.submit_tail`, both
+selection paths of ``_on_wake``, subset blocks and
+:meth:`MemoryController.bank` -- first syncs a stale bank (its
+``epoch`` lags its rank's).  Every write of a bank's ``busy_until``
+also raises ``RankState.drain``, which is what lets aligned whole-rank
+blocks and REF find the rank's drain time without visiting its banks.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from collections import deque
 from typing import Callable
 
 from repro.dram.address import AddressMapper, Coord
-from repro.dram.bank import BankState
+from repro.dram.bank import BankState, RankState
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
 from repro.sim.stats import BlockInterval, BlockKind, MemoryStats
@@ -128,9 +140,12 @@ class MemoryController:
         self.org = config.org
         self.mapper = mapper
         self.stats = stats
+        self.ranks: list[RankState] = [
+            RankState() for _ in range(self.org.ranks)]
         self.banks: list[list[BankState]] = [
-            [BankState(r, b) for b in range(self.org.banks_per_rank)]
-            for r in range(self.org.ranks)
+            [BankState(r, b, rank_state)
+             for b in range(self.org.banks_per_rank)]
+            for r, rank_state in enumerate(self.ranks)
         ]
         self.defense = _NullDefense()
         self._bank_queues: list[list[_BankQueue]] = [
@@ -300,6 +315,8 @@ class MemoryController:
                         self._addr_plan.clear()
                     self._addr_plan[addr] = plan
                 coord, flat, bank, bank_queue = plan
+                if bank.epoch != bank.rank_state.epoch:
+                    bank.sync()
                 if bank.busy_until <= now:
                     req = _new_request(Request)
                     req.addr = addr
@@ -353,6 +370,9 @@ class MemoryController:
                         busy = now + tBL
                         if bank.busy_until < busy:
                             bank.busy_until = busy
+                            rank = bank.rank_state
+                            if rank.drain < busy:
+                                rank.drain = busy
                         if is_write:
                             stats.writes += 1
                         else:
@@ -368,29 +388,50 @@ class MemoryController:
         return self.submit(addr, callback, is_write=is_write)
 
     def bank(self, rank: int, flat_id: int) -> BankState:
-        return self.banks[rank][flat_id]
+        """The bank's current state, with every whole-rank block so far
+        applied."""
+        bank = self.banks[rank][flat_id]
+        if bank.epoch != bank.rank_state.epoch:
+            bank.sync()
+        return bank
 
     def block_banks(self, rank: int, bank_ids: frozenset[int] | None,
                     start: int, duration: int, kind: BlockKind,
-                    close: bool = True, align_to_busy: bool = True) -> int:
-        """Block a set of banks (``None`` = whole rank) for ``duration``.
+                    align_to_busy: bool = True) -> int:
+        """Block and close a set of banks (``None`` = whole rank) for
+        ``duration``.
 
         With ``align_to_busy`` the block begins only after in-flight
         services on the affected banks drain (how REF/RFM wait for
         precharge); without it the block starts exactly at ``start``
         (FR-RFM's fixed-slot semantics).  Returns the actual block end.
+        A whole-rank block costs O(1): it raises the rank's horizons
+        and bumps its epoch, and each bank catches up on its next read.
         """
-        bank_list = self.banks[rank]
-        affected = (bank_list if bank_ids is None
-                    else [bank_list[b] for b in bank_ids])
-        if align_to_busy:
+        rank_state = self.ranks[rank]
+        if bank_ids is None:
+            if align_to_busy and rank_state.drain > start:
+                start = rank_state.drain
+            end = start + duration
+            if rank_state.busy_until < end:
+                rank_state.busy_until = end
+            if rank_state.drain < end:
+                rank_state.drain = end
+            rank_state.epoch += 1
+        else:
+            bank_list = self.banks[rank]
+            affected = [bank_list[b] for b in bank_ids]
             for b in affected:
-                if b.busy_until > start:
+                if b.epoch != rank_state.epoch:
+                    b.sync()
+                if align_to_busy and b.busy_until > start:
                     start = b.busy_until
-        end = start + duration
-        for b in affected:
-            b.block_until(end)
-            if close:
+            end = start + duration
+            for b in affected:
+                if b.busy_until < end:
+                    b.busy_until = end
+                    if rank_state.drain < end:
+                        rank_state.drain = end
                 b.close()
         self.stats.record_block(
             BlockInterval(kind=kind, start=start, end=end, rank=rank,
@@ -451,6 +492,8 @@ class MemoryController:
                 for bank_queue in occupied:
                     break
                 bank = bank_queue.bank
+                if bank.epoch != bank.rank_state.epoch:
+                    bank.sync()
                 start = bank.busy_until
                 if start > now:
                     self._schedule_wake(start)
@@ -468,6 +511,8 @@ class MemoryController:
                 best_key = None
                 for bank_queue in occupied:
                     bank = bank_queue.bank
+                    if bank.epoch != bank.rank_state.epoch:
+                        bank.sync()
                     start = bank.busy_until
                     if start < now:
                         start = now
@@ -522,7 +567,9 @@ class MemoryController:
         Shared verbatim by the wake path (:meth:`_service`, after the
         dequeue) and the wake-elision path (:meth:`submit_tail`, where
         the request never enters a queue) -- one body, so the two paths
-        cannot drift apart.
+        cannot drift apart.  Both callers have just synced the bank
+        while selecting it, and nothing runs in between, so it is read
+        here without a second epoch check.
         """
         coord = req.coord
         bank = req.bank
@@ -581,6 +628,9 @@ class MemoryController:
         busy = rd + tBL
         if bank.busy_until < busy:
             bank.busy_until = busy
+            rank = bank.rank_state
+            if rank.drain < busy:
+                rank.drain = busy
 
         if req.is_write:
             stats.writes += 1

@@ -42,12 +42,9 @@ class RefreshScheduler:
 
         REF needs every bank of the rank precharged, so if any bank is
         mid-preventive-action the REF is *delayed* until the rank
-        drains -- other banks keep serving until then (a controller
-        blocks the rank only for the REF itself)."""
-        drain = self.sim.now
-        for bank in self.controller.banks[rank]:
-            if bank.busy_until > drain:
-                drain = bank.busy_until
+        drains (``RankState.drain``) -- other banks keep serving until
+        then (a controller blocks the rank only for the REF itself)."""
+        drain = self.controller.ranks[rank].drain
         if drain > self.sim.now:
             self.sim.schedule_at(drain, lambda: self._issue(rank))
         else:
@@ -59,7 +56,7 @@ class RefreshScheduler:
         duration = (trfc if self.policy is RefreshPolicy.EVERY_TREFI
                     else 2 * trfc)
         self.controller.block_banks(
-            rank, None, self.sim.now, duration, BlockKind.REF, close=True,
+            rank, None, self.sim.now, duration, BlockKind.REF,
             align_to_busy=False)
         self.controller.defense.on_refresh(rank, self.sim.now)
 

@@ -49,7 +49,7 @@ class FixedRateRfmDefense(Defense):
         self.rfm_log.append((rank, now))
         self.controller.block_banks(
             rank, None, now, self.timing.tRFM_AB, BlockKind.RFM,
-            close=True, align_to_busy=False)
+            align_to_busy=False)
         self.sim.schedule_at(now + self.period, lambda: self._tick(rank))
 
     def describe(self) -> dict:

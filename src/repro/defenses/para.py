@@ -36,7 +36,7 @@ class ParaDefense(Defense):
     def _refresh_neighbors(self, rank: int, bank: int) -> None:
         self.controller.block_banks(
             rank, frozenset((bank,)), self.sim.now,
-            self.params.para_refresh_latency, BlockKind.PARA, close=True)
+            self.params.para_refresh_latency, BlockKind.PARA)
 
     def describe(self) -> dict:
         return {"kind": self.kind.value,

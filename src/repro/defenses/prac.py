@@ -28,7 +28,8 @@ from repro.sim.stats import BlockKind
 from repro.defenses.base import Defense
 
 #: Rows whose counters a single periodic REF covers per bank (128K rows
-#: refreshed over 8192 REFs per tREFW).
+#: refreshed over 8192 REFs per tREFW).  ``row // _ROWS_PER_REF`` is the
+#: row's refresh group.
 _ROWS_PER_REF = 16
 
 
@@ -50,6 +51,11 @@ class PracDefense(Defense):
         # arbitrary; start mid-bank so low-numbered rows (where the
         # attacks and workloads live) are not swept immediately.
         self._ref_cursor = [self.org.rows_per_bank // 2] * self.org.ranks
+        #: Per rank, the refresh groups in which a counter was created
+        #: since the group's last sweep: a REF sweep of any other group
+        #: has nothing to clear.
+        self._touched: list[set[int]] = [set()
+                                         for _ in range(self.org.ranks)]
         #: ground truth for tests: (rank, assert_time) tuples.
         self.abo_log: list[tuple[int, int]] = []
 
@@ -68,19 +74,26 @@ class PracDefense(Defense):
         counters = self.counters[rank][bank]
         if row not in counters:
             counters[row] = self._initial_count()
+            self._touched[rank].add(row // _ROWS_PER_REF)
         return counters[row]
+
+    def _count(self, rank: int, bank: int, row: int) -> int:
+        """Count one activation of ``row`` as it closes; returns the new
+        count."""
+        counters = self.counters[rank][bank]
+        count = counters.get(row)
+        if count is None:
+            count = self._initial_count()
+            self._touched[rank].add(row // _ROWS_PER_REF)
+        count += 1
+        counters[row] = count
+        return count
 
     # ------------------------------------------------------------------
     # Trigger algorithm
     # ------------------------------------------------------------------
     def on_precharge(self, rank: int, bank: int, row: int, t: int) -> None:
-        counters = self.counters[rank][bank]
-        count = counters.get(row)
-        if count is None:
-            count = self._initial_count()
-        count += 1
-        counters[row] = count
-        if count >= self.params.nbo:
+        if self._count(rank, bank, row) >= self.params.nbo:
             self._maybe_assert_abo(rank, t)
 
     def _maybe_assert_abo(self, rank: int, t: int) -> None:
@@ -112,7 +125,7 @@ class PracDefense(Defense):
         banks = self._blocked_banks(rank)
         end = self.controller.block_banks(
             rank, banks, self.sim.now, self._backoff_duration(),
-            BlockKind.BACKOFF, close=True)
+            BlockKind.BACKOFF)
         self.sim.schedule_at(end, lambda: self._finish(rank, banks))
 
     def _finish(self, rank: int, banks: frozenset[int] | None) -> None:
@@ -138,13 +151,23 @@ class PracDefense(Defense):
     # cleared as their victims are refreshed anyway.
     # ------------------------------------------------------------------
     def on_refresh(self, rank: int, t: int) -> None:
-        cursor = self._ref_cursor[rank]
-        lo = cursor
-        hi = cursor + _ROWS_PER_REF
+        lo = self._ref_cursor[rank]
+        hi = lo + _ROWS_PER_REF
+        self._ref_cursor[rank] = hi % self.org.rows_per_bank
+        # rows_per_bank is a power of two, so from 32 rows up the window
+        # is exactly one refresh group; below that the cursor stays at
+        # rows_per_bank // 2 and the window holds the bank's upper half,
+        # all in group 0.
+        # Either way no bank holds a counter in the window unless one
+        # was created there since the group's last sweep.
+        touched = self._touched[rank]
+        group = lo // _ROWS_PER_REF
+        if group not in touched:
+            return
+        touched.discard(group)
         for counters in self.counters[rank]:
             for row in [r for r in counters if lo <= r < hi]:
                 del counters[row]
-        self._ref_cursor[rank] = hi % self.org.rows_per_bank
 
     def describe(self) -> dict:
         return {

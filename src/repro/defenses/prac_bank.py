@@ -30,13 +30,7 @@ class BankLevelPracDefense(PracDefense):
 
     # Per-bank ABO bookkeeping replaces the rank-level one.
     def on_precharge(self, rank: int, bank: int, row: int, t: int) -> None:
-        counters = self.counters[rank][bank]
-        count = counters.get(row)
-        if count is None:
-            count = self._initial_count()
-        count += 1
-        counters[row] = count
-        if count >= self.params.nbo:
+        if self._count(rank, bank, row) >= self.params.nbo:
             self._maybe_assert_bank_abo(rank, bank, t)
 
     def _maybe_assert_bank_abo(self, rank: int, bank: int, t: int) -> None:
@@ -55,7 +49,7 @@ class BankLevelPracDefense(PracDefense):
         banks = frozenset((bank,))
         end = self.controller.block_banks(
             rank, banks, self.sim.now, self._backoff_duration(),
-            BlockKind.BACKOFF, close=True)
+            BlockKind.BACKOFF)
         self.sim.schedule_at(end, lambda: self._finish_bank(rank, bank))
 
     def _finish_bank(self, rank: int, bank: int) -> None:

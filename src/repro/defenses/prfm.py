@@ -42,7 +42,7 @@ class PrfmDefense(Defense):
         """Block the addressed bank in every bank group for tRFM_SB."""
         self.controller.block_banks(
             rank, self._same_bank_set(bank), self.sim.now,
-            self.timing.tRFM_SB, BlockKind.RFM, close=True)
+            self.timing.tRFM_SB, BlockKind.RFM)
 
     def _same_bank_set(self, flat_bank: int) -> frozenset[int]:
         per_group = self.org.banks_per_group

@@ -53,7 +53,7 @@ def run_to_completion(system, probe, step=1_000_000):
 
 def observables(system, probe):
     stats = system.stats
-    bank = probe.addrs and system.controller.banks[0][0]
+    bank = probe.addrs and system.controller.bank(0, 0)
     return {
         "samples": list(probe.samples),
         "finish": probe.finish_time,

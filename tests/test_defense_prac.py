@@ -1,12 +1,19 @@
 """Tests for PRAC: counters, the ABO protocol, and the security bound."""
 
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.config import DefenseKind, DefenseParams, RefreshPolicy, SystemConfig
+from repro.sim.config import (
+    DefenseKind,
+    DefenseParams,
+    DramOrg,
+    RefreshPolicy,
+    SystemConfig,
+)
 from repro.sim.stats import BlockKind
 from repro.system import MemorySystem
 
@@ -153,6 +160,111 @@ class TestRefreshHygiene:
         defense.on_refresh(0, 1)
         assert defense._ref_cursor[0] == (start + 32) % \
             system.config.org.rows_per_bank
+
+
+def full_scan_on_refresh(self, rank, t):
+    """Reference sweep: scan every bank's counters for the window."""
+    cursor = self._ref_cursor[rank]
+    lo = cursor
+    hi = cursor + 16
+    for counters in self.counters[rank]:
+        for row in [r for r in counters if lo <= r < hi]:
+            del counters[row]
+    self._ref_cursor[rank] = hi % self.org.rows_per_bank
+
+
+def sweep_pair(kind, rows_per_bank):
+    """The defense under test and a twin that sweeps by full scan."""
+    def build():
+        return MemorySystem(SystemConfig(
+            org=DramOrg(rows_per_bank=rows_per_bank),
+            defense=DefenseParams(kind=kind, nbo=1000, seed=11),
+            refresh_policy=RefreshPolicy.NONE)).defense
+
+    defense, reference = build(), build()
+    reference.on_refresh = types.MethodType(full_scan_on_refresh,
+                                            reference)
+    return defense, reference
+
+
+def counter_items(defense):
+    """Every counter dict in insertion order (back-off resets break
+    count ties by it)."""
+    return [list(c.items()) for rank in defense.counters for c in rank]
+
+
+SWEPT_KINDS = (DefenseKind.PRAC, DefenseKind.PRAC_RIAC,
+               DefenseKind.PRAC_BANK)
+
+
+class TestRefreshSweeps:
+    """Sweeps skip refresh groups no counter lives in; what they leave
+    must equal a full scan of every bank's counters."""
+
+    @pytest.mark.parametrize("kind", SWEPT_KINDS)
+    @pytest.mark.parametrize("rows_per_bank", [16, 64, 1 << 17])
+    @settings(max_examples=25, deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(("pre", "pre", "value", "ref")),
+        st.integers(0, 3), st.integers(-24, 72)), max_size=60))
+    def test_matches_full_scan(self, kind, rows_per_bank, ops):
+        defense, reference = sweep_pair(kind, rows_per_bank)
+        first = rows_per_bank // 2
+        for op, bank, offset in ops:
+            row = (first + offset) % rows_per_bank
+            for d in (defense, reference):
+                if op == "pre":
+                    d.on_precharge(0, bank, row, 0)
+                elif op == "value":
+                    d.counter_value(0, bank, row)
+                else:
+                    d.on_refresh(0, 0)
+            assert counter_items(defense) == counter_items(reference)
+            assert defense._ref_cursor == reference._ref_cursor
+
+    @pytest.mark.parametrize("kind", SWEPT_KINDS)
+    def test_cursor_wraps_around_the_bank(self, kind):
+        """Enough sweeps to wrap the default 128K-row cursor, with
+        counters created by both paths in the first and last groups."""
+        defense, reference = sweep_pair(kind, 1 << 17)
+        n_sweeps = (1 << 17) // 16 + 3
+        for d in (defense, reference):
+            for row in (0, 15, 16, (1 << 17) - 1, 1 << 16):
+                d.on_precharge(0, 1, row, 0)
+                d.counter_value(0, 2, row + 1)
+        for i in range(n_sweeps):
+            defense.on_refresh(0, i)
+            reference.on_refresh(0, i)
+            if i % 1000 == 0 or i > n_sweeps - 8:
+                assert counter_items(defense) == counter_items(reference)
+        assert counter_items(defense) == counter_items(reference)
+        assert defense._ref_cursor == reference._ref_cursor
+
+    def test_small_bank_never_sweeps_its_lower_half(self):
+        """At 16 rows per bank the cursor never moves: rows below 8
+        keep their counters across sweeps, and rows 8-15 lose theirs to
+        every sweep after they are created."""
+        defense, _ = sweep_pair(DefenseKind.PRAC, 16)
+        for row in range(16):
+            defense.on_precharge(0, 0, row, 0)
+        defense.on_refresh(0, 0)
+        defense.on_refresh(0, 1)
+        defense.counter_value(0, 1, 12)
+        defense.on_refresh(0, 2)
+        assert sorted(defense.counters[0][0]) == list(range(8))
+        assert defense.counters[0][1] == {}
+        assert defense._ref_cursor == [8]
+
+    def test_reset_breaks_count_ties_by_insertion_order(self):
+        system = prac_system(nbo=10 ** 6, n_rfms=2)
+        defense = system.defense
+        for row, count in ((50, 2), (30, 3), (90, 2), (10, 2)):
+            for _ in range(count):
+                defense.on_precharge(0, 0, row, 0)
+        defense._reset_top_counters(0, 0, 2)
+        assert defense.counters[0][0] == {50: 0, 30: 0, 90: 2, 10: 2}
+        defense._reset_top_counters(0, 0, 1)
+        assert defense.counters[0][0] == {50: 0, 30: 0, 90: 0, 10: 2}
 
 
 class TestSecurityInvariant:

@@ -17,24 +17,29 @@ fix), regenerate the goldens with::
 review the resulting diff of the JSON file, and say so loudly in the
 commit; a perf-only PR must never need to.
 
-Two later families were captured the same way, before the change they
+Later families were captured the same way, before the change they
 guard: ``fingerprint`` pins browser-trace replay captures (the
-side-channel path, before the replay kept one pending wake), and
+side-channel path, before the replay kept one pending wake),
 ``trees`` pins the exact structure of every fitted CART tree (before
-each fit presorted its features once), so neither optimization may
-move a back-off or a split.
+each fit presorted its features once), and ``countermeasure`` pins a
+four-core Fig. 13 mix under every countermeasure (before whole-rank
+blocks became O(1) and PRAC sweeps skipped untouched row groups), so
+no optimization may move a back-off, a split or a block.
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.analysis.speedup import mix_scenario
 from repro.cache.hierarchy import HierarchyConfig
 from repro.core.fingerprint import FingerprintConfig, WebsiteFingerprinter
 from repro.core.prac_channel import PracChannelConfig, PracCovertChannel
 from repro.core.rfm_channel import RfmChannelConfig, RfmCovertChannel
 from repro.cpu.agent import run_agents
+from repro.exp.drivers.perf import FIG13_MECHANISMS
 from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -42,7 +47,10 @@ from repro.ml import (
     cross_validate,
     paper_model_zoo,
 )
+from repro.sim.config import DefenseKind, DefenseParams, SystemConfig
 from repro.sim.engine import US
+from repro.sim.stats import BlockKind
+from repro.workloads.spec import apps_for_mix, make_workload_mixes
 from repro.workloads.websites import WebsiteCatalog
 
 #: Fixed message used by every golden trial.
@@ -253,6 +261,41 @@ def test_tree_structures_bit_identical_to_seed(dataset, golden_store):
     golden_store.check(("trees", dataset), captured)
 
 
+#: Fig. 13's countermeasures plus the unprotected baseline, by name.
+COUNTERMEASURES = {"none": DefenseKind.NONE, **dict(FIG13_MECHANISMS)}
+
+
+def blocks_digest(blocks) -> str:
+    """sha256 over every blocking interval, in record order."""
+    text = "|".join(
+        f"{b.kind.value},{b.start},{b.end},{b.rank},"
+        f"{'all' if b.banks is None else sorted(b.banks)}"
+        for b in blocks)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mechanism", sorted(COUNTERMEASURES))
+def test_countermeasure_mix_bit_identical_to_seed(mechanism, golden_store):
+    """Fig. 13's four-core mix at N_RH 64: REF, FR-RFM's all-bank RFMs,
+    PRFM's same-bank sets and the PRAC/RIAC/PRAC-Bank back-offs."""
+    config = SystemConfig()
+    kind = COUNTERMEASURES[mechanism]
+    if kind is not DefenseKind.NONE:
+        config = config.with_defense(DefenseParams.for_nrh(kind, 64))
+    mix = make_workload_mixes(1, seed=0)[0]
+    apps = apps_for_mix(mix, config.org, 300, seed=0)
+    result = mix_scenario(config, apps).run()  # every app starts at 0
+    stats = result.system.stats
+    per_kind = Counter(b.kind for b in stats.blocks)
+    golden_store.check(("countermeasure", mechanism), {
+        "counters": dict(stats.act_rate_summary),
+        "finish": {agent.name: agent.finish_time
+                   for agent in result.agents},
+        "blocks": {k.value: per_kind[k] for k in BlockKind},
+        "blocks_sha256": blocks_digest(stats.blocks),
+    })
+
+
 def test_golden_file_is_complete(golden_store):
     """Guard: the goldens file itself must cover every pinned trial --
     a missing key means someone regenerated with a subset of the tests
@@ -267,4 +310,5 @@ def test_golden_file_is_complete(golden_store):
           for site in FINGERPRINT_SITES.names
           for seed in FINGERPRINT_SEEDS],
         *[("trees", dataset) for dataset in tree_datasets()],
+        *[("countermeasure", name) for name in COUNTERMEASURES],
     ])
