@@ -358,6 +358,8 @@ def cmd_diffcheck(args) -> int:
     from repro.exp.registry import experiment_names
     from repro.perf.diffcheck import QUICK_EXPERIMENTS, run_diffcheck
 
+    if args.against is not None:
+        return _diffcheck_against(args)
     if args.experiment:
         try:
             experiments = [get_canonical_name(n) for n in args.experiment]
@@ -400,6 +402,29 @@ def cmd_diffcheck(args) -> int:
     if not report.ok:
         print("\ndiffcheck: fast-forward results DIVERGED from the "
               "event-accurate baseline; see the artifact spec(s) above",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def _diffcheck_against(args) -> int:
+    from repro.perf.against import AgainstError, run_against
+
+    if (args.experiment or args.all or args.quick or args.spec
+            or args.fuzz is not None or args.fuzz_multi is not None):
+        print("error: --against runs its own fixed experiment set; drop "
+              "NAME, --all, --quick, --spec and --fuzz*", file=sys.stderr)
+        return 2
+    try:
+        report = run_against(
+            args.against,
+            log=lambda msg: print(f"[diffcheck] {msg}", file=sys.stderr))
+    except AgainstError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(report.to_text())
+    if not report.ok:
+        print(f"\ndiffcheck: results DIFFER from {args.against}",
               file=sys.stderr)
         return 1
     return 0
@@ -1017,6 +1042,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--artifact-dir", default=None, metavar="DIR",
                         help="directory for shrunken failing-spec "
                              "artifacts (default: current directory)")
+    p_diff.add_argument("--against", default=None, metavar="REF",
+                        help="instead: run a fixed default-scale set "
+                             "(fig11, fig12, sec114, fig3, fig6, reduced "
+                             "fig13) in this source tree and in git "
+                             "revision REF's, and require equal result "
+                             "checksums")
     _add_backend_option(p_diff)
     p_diff.set_defaults(func=cmd_diffcheck)
 

@@ -293,17 +293,13 @@ class MemoryController:
         Each elided wake counts in the engine's ``events_elided``.
         """
         sim = self.sim
-        if (self.ff_elide and self._queue_len == 0 and not self._backlog
-                # Simulator.quiescent_now, inlined (this is the hottest
-                # controller entry point; keep the two in sync): no
-                # pending event may share the current instant.
-                and sim._imm_head >= len(sim._imm)):
+        if self.ff_elide and self._queue_len == 0 and not self._backlog:
             now = sim.now
-            fifo = sim._fifo
+            # Simulator.quiescent_now, inlined (this is the hottest
+            # controller entry point; keep the two in sync): the heap's
+            # earliest event must lie after the current instant.
             heap = sim._heap
-            if ((sim._fifo_head >= len(fifo)
-                    or fifo[sim._fifo_head][0] > now)
-                    and (not heap or heap[0][0] > now)):
+            if not heap or heap[0][0] > now:
                 plan = self._addr_plan.get(addr)
                 if plan is None:
                     coord = self.mapper.decode(addr)
@@ -434,8 +430,7 @@ class MemoryController:
                         rank_state.drain = end
                 b.close()
         self.stats.record_block(
-            BlockInterval(kind=kind, start=start, end=end, rank=rank,
-                          banks=bank_ids))
+            BlockInterval(kind, start, end, rank, bank_ids))
         self._schedule_wake(end)
         return end
 

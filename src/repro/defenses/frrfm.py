@@ -30,12 +30,10 @@ class FixedRateRfmDefense(Defense):
                 "FR-RFM period must exceed the RFM latency, or the fixed "
                 f"schedule starves memory entirely (period {self.period} ps"
                 f" <= tRFM {self.timing.tRFM_AB} ps)")
-        #: ground truth: scheduled (grid) issue times per rank.
-        self.rfm_log: list[tuple[int, int]] = []
 
     def on_boot(self) -> None:
         for rank in range(self.org.ranks):
-            self.sim.schedule_at(self.period, lambda r=rank: self._tick(r))
+            self.sim.schedule_call_at(self.period, self._tick, rank)
 
     def _tick(self, rank: int) -> None:
         """Issue the RFM exactly on the grid point.
@@ -46,11 +44,10 @@ class FixedRateRfmDefense(Defense):
         the blocking interval begins at the grid time unconditionally.
         """
         now = self.sim.now
-        self.rfm_log.append((rank, now))
         self.controller.block_banks(
             rank, None, now, self.timing.tRFM_AB, BlockKind.RFM,
             align_to_busy=False)
-        self.sim.schedule_at(now + self.period, lambda: self._tick(rank))
+        self.sim.schedule_call_at(now + self.period, self._tick, rank)
 
     def describe(self) -> dict:
         return {"kind": self.kind.value, "trfm": self.params.trfm,

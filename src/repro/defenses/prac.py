@@ -69,13 +69,14 @@ class PracDefense(Defense):
         """
         return 0
 
-    def counter_value(self, rank: int, bank: int, row: int) -> int:
-        """Current activation count of a row (test/experiment hook)."""
-        counters = self.counters[rank][bank]
-        if row not in counters:
-            counters[row] = self._initial_count()
-            self._touched[rank].add(row // _ROWS_PER_REF)
-        return counters[row]
+    def counter_value(self, rank: int, bank: int, row: int) -> int | None:
+        """Current activation count of a row, or ``None`` while the row
+        has no counter (test/experiment hook).
+
+        A pure read: it never creates the counter, so it neither draws
+        RIAC's random initial value nor registers a refresh group.
+        """
+        return self.counters[rank][bank].get(row)
 
     def _count(self, rank: int, bank: int, row: int) -> int:
         """Count one activation of ``row`` as it closes; returns the new

@@ -257,3 +257,78 @@ class TestCli:
         text = report.to_text()
         assert "NO" in text and "$.a: 1 != 2" in text
         assert "1 mismatched" in text
+
+
+class TestAgainst:
+    """``diffcheck --against REF``: the same experiments in two source
+    trees must give equal canonical checksums."""
+
+    #: A seconds-scale case (the fixed set takes about 20 s per tree).
+    CASES = (("fig3", {"text": "MI", "pattern_bits": 8}),)
+
+    def test_same_tree_is_identical(self, tmp_path):
+        from repro.perf.against import SRC_DIR, AgainstReport, compare_trees
+
+        rows = compare_trees(SRC_DIR, SRC_DIR, self.CASES,
+                             workdir=tmp_path)
+        assert [(row.name, row.error) for row in rows] == [("fig3", "")]
+        assert rows[0].identical and len(rows[0].ref) == 64
+        assert AgainstReport("HEAD", rows).ok
+
+    def test_flags_a_timing_change(self, tmp_path):
+        import shutil
+
+        from repro.perf.against import SRC_DIR, compare_trees
+
+        changed = tmp_path / "changed"
+        shutil.copytree(SRC_DIR / "repro", changed / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        config = changed / "repro" / "sim" / "config.py"
+        text = config.read_text()
+        assert "tCL: int = 16 * NS" in text
+        config.write_text(text.replace("tCL: int = 16 * NS",
+                                       "tCL: int = 17 * NS"))
+        rows = compare_trees(changed, SRC_DIR, self.CASES,
+                             workdir=tmp_path)
+        assert rows[0].ref and rows[0].tree and not rows[0].error
+        assert not rows[0].identical
+
+    def test_failed_run_is_a_difference(self, tmp_path):
+        from repro.perf.against import SRC_DIR, AgainstReport, compare_trees
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        rows = compare_trees(empty, SRC_DIR, self.CASES, workdir=tmp_path)
+        assert rows[0].ref is None and rows[0].tree
+        assert rows[0].error.startswith("ref: exit 1")
+        report = AgainstReport("REF", rows)
+        assert not report.ok
+        assert "FAILED" in report.to_text() and "1 differ" in report.to_text()
+
+    def test_archive_extracts_the_committed_tree(self, tmp_path):
+        import subprocess
+
+        from repro.perf.against import AgainstError, archive_src
+
+        repo = tmp_path / "repo"
+        module = repo / "src" / "pkg" / "mod.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("X = 1\n")
+        git = ["git", "-C", str(repo), "-c", "user.name=t",
+               "-c", "user.email=t@example.invalid"]
+        subprocess.run(git[:3] + ["init", "-q"], check=True)
+        subprocess.run(git + ["add", "-A"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+        module.write_text("X = 2\n")  # uncommitted: not in the archive
+        out = archive_src("HEAD", tmp_path / "out", src_dir=repo / "src")
+        assert out == tmp_path / "out" / "src"
+        assert (out / "pkg" / "mod.py").read_text() == "X = 1\n"
+        for bad in ("no-such-revision", "--output=x"):
+            with pytest.raises(AgainstError):
+                archive_src(bad, tmp_path / "bad", src_dir=repo / "src")
+
+    def test_cli_rejects_other_selections(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["diffcheck", "--against", "HEAD", "fig3"]) == 2
+        assert "--against" in capsys.readouterr().err

@@ -38,7 +38,7 @@ class TestCounters:
         a, b = system.mapper.same_bank_rows(2, stride=8, first_row=64)
         defense = system.defense
         single_read(system, a)  # opens row 64 -- not yet counted
-        assert defense.counter_value(0, 0, 64) == 0
+        assert defense.counter_value(0, 0, 64) is None
         single_read(system, b)  # closes row 64 -> counted
         assert defense.counter_value(0, 0, 64) == 1
 
@@ -141,7 +141,7 @@ class TestRefreshHygiene:
         hammer(system, addrs, 10)
         assert defense.counter_value(0, 0, cursor) > 0
         defense.on_refresh(0, system.sim.now)
-        assert defense.counter_value(0, 0, cursor) == 0
+        assert defense.counter_value(0, 0, cursor) is None
 
     def test_refresh_hook_leaves_unswept_rows_alone(self):
         system = prac_system(nbo=10 ** 6)
@@ -216,7 +216,9 @@ class TestRefreshSweeps:
                 if op == "pre":
                     d.on_precharge(0, bank, row, 0)
                 elif op == "value":
+                    before = counter_items(d)
                     d.counter_value(0, bank, row)
+                    assert counter_items(d) == before
                 else:
                     d.on_refresh(0, 0)
             assert counter_items(defense) == counter_items(reference)
@@ -225,13 +227,13 @@ class TestRefreshSweeps:
     @pytest.mark.parametrize("kind", SWEPT_KINDS)
     def test_cursor_wraps_around_the_bank(self, kind):
         """Enough sweeps to wrap the default 128K-row cursor, with
-        counters created by both paths in the first and last groups."""
+        counters in two banks in the first and last groups."""
         defense, reference = sweep_pair(kind, 1 << 17)
         n_sweeps = (1 << 17) // 16 + 3
         for d in (defense, reference):
             for row in (0, 15, 16, (1 << 17) - 1, 1 << 16):
                 d.on_precharge(0, 1, row, 0)
-                d.counter_value(0, 2, row + 1)
+                d.on_precharge(0, 2, row + 1, 0)
         for i in range(n_sweeps):
             defense.on_refresh(0, i)
             reference.on_refresh(0, i)
@@ -249,7 +251,7 @@ class TestRefreshSweeps:
             defense.on_precharge(0, 0, row, 0)
         defense.on_refresh(0, 0)
         defense.on_refresh(0, 1)
-        defense.counter_value(0, 1, 12)
+        defense.on_precharge(0, 1, 12, 0)
         defense.on_refresh(0, 2)
         assert sorted(defense.counters[0][0]) == list(range(8))
         assert defense.counters[0][1] == {}

@@ -18,28 +18,27 @@ class TestRiac:
     def test_initial_counts_randomized_in_range(self):
         system = make_system(DefenseKind.PRAC_RIAC, nbo=64)
         defense = system.defense
-        values = [defense.counter_value(0, 0, row) for row in range(100)]
+        values = [defense._initial_count() for _ in range(100)]
         assert all(0 <= v < 64 for v in values)
         assert len(set(values)) > 5  # not all equal
 
     def test_different_seeds_give_different_inits(self):
         a = make_system(DefenseKind.PRAC_RIAC, nbo=64, seed=1)
         b = make_system(DefenseKind.PRAC_RIAC, nbo=64, seed=2)
-        va = [a.defense.counter_value(0, 0, r) for r in range(40)]
-        vb = [b.defense.counter_value(0, 0, r) for r in range(40)]
+        va = [a.defense._initial_count() for _ in range(40)]
+        vb = [b.defense._initial_count() for _ in range(40)]
         assert va != vb
 
     def test_same_seed_reproducible(self):
         a = make_system(DefenseKind.PRAC_RIAC, nbo=64, seed=9)
         b = make_system(DefenseKind.PRAC_RIAC, nbo=64, seed=9)
-        va = [a.defense.counter_value(0, 0, r) for r in range(40)]
-        vb = [b.defense.counter_value(0, 0, r) for r in range(40)]
+        va = [a.defense._initial_count() for _ in range(40)]
+        vb = [b.defense._initial_count() for _ in range(40)]
         assert va == vb
 
     def test_init_distribution_roughly_uniform(self):
         system = make_system(DefenseKind.PRAC_RIAC, nbo=64)
-        values = [system.defense.counter_value(0, 0, r)
-                  for r in range(2000)]
+        values = [system.defense._initial_count() for _ in range(2000)]
         mean = sum(values) / len(values)
         assert 24 < mean < 40  # uniform mean would be 31.5
 
@@ -73,6 +72,29 @@ class TestRiac:
                   for r in (0, 8)]
         assert any(v not in (None, 0) for v in values) or \
             system.stats.backoffs > 2
+
+    def test_reading_a_counter_moves_no_backoff(self):
+        """``counter_value`` is a pure read: reading an untouched row
+        creates no counter and draws no random initial count, so a
+        hammered RIAC system backs off at the same times with or
+        without a read at boot."""
+        def backoff_starts(read_at_boot):
+            system = make_system(DefenseKind.PRAC_RIAC, nbo=16, seed=3)
+            defense = system.defense
+            if read_at_boot:
+                rng_state = defense.rng.getstate()
+                assert defense.counter_value(0, 0, 999) is None
+                assert defense.rng.getstate() == rng_state
+                assert defense.counters[0][0] == {}
+                assert not any(defense._touched)
+            addrs = [system.mapper.encode(row=r) for r in (64, 72, 80)]
+            hammer(system, addrs, 600)
+            return [b.start
+                    for b in system.stats.blocks_of(BlockKind.BACKOFF)]
+
+        unread = backoff_starts(False)
+        assert unread  # the comparison below is not vacuous
+        assert backoff_starts(True) == unread
 
     def test_describe_mentions_random_init(self):
         info = make_system(DefenseKind.PRAC_RIAC, nbo=32).defense.describe()

@@ -1,14 +1,17 @@
-"""Tests for the engine's scheduling fast paths.
+"""Tests for the engine's event order.
 
-The engine routes events across three lanes (immediate, FIFO, heap);
-these tests pin the contract that lane placement is invisible: global
-execution order is exactly ``(time, insertion sequence)`` regardless of
-which lane an event rides.
+The engine keeps one heap of ``(time, sequence, callback, arg)``
+entries; these tests pin the contract that global execution order is
+exactly ``(time, insertion sequence)``, whichever scheduling method
+queued an event and however far ahead it lies.  A Hypothesis property
+checks randomized programs against a plain sorted-list model.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import NS, US, SimulationError, Simulator
 
@@ -44,38 +47,10 @@ class TestScheduleCall:
         assert order == ["a", "b", "c"]
 
 
-class TestScheduleMany:
-    def test_batch_matches_loop_semantics(self):
-        sim = Simulator()
-        order = []
-        count = sim.schedule_many(
-            (t, lambda t=t: order.append(t)) for t in (10, 20, 20, 30))
-        assert count == 4
-        sim.run()
-        assert order == [10, 20, 20, 30]
-
-    def test_batch_out_of_order_times(self):
-        sim = Simulator()
-        order = []
-        sim.schedule_many((t, lambda t=t: order.append(t))
-                          for t in (30, 10, 20))
-        sim.run()
-        assert order == [10, 20, 30]
-
-    def test_batch_past_time_raises_and_keeps_earlier_entries(self):
-        sim = Simulator()
-        sim.run(until=100)
-        fired = []
-        with pytest.raises(SimulationError):
-            sim.schedule_many([(200, lambda: fired.append(200)),
-                               (50, lambda: fired.append(50))])
-        sim.run()
-        assert fired == [200]  # entries before the bad one survive
-
-
 class TestLaneEquivalence:
-    """Randomized schedules must execute exactly in (time, seq) order
-    no matter how they land across the three lanes."""
+    """Randomized schedules must execute exactly in (time, seq) order,
+    whether events are queued at ``now``, nearby, far ahead or out of
+    order."""
 
     def test_randomized_order_matches_reference(self):
         rng = random.Random(1234)
@@ -117,16 +92,16 @@ class TestLaneEquivalence:
 
     def test_pending_events_spans_all_lanes(self):
         sim = Simulator()
-        sim.schedule_at(10, lambda: None)     # fifo
-        sim.schedule_at(5, lambda: None)      # heap (before fifo tail)
-        sim.schedule_at(0, lambda: None)      # immediate (time == now)
+        sim.schedule_at(10, lambda: None)
+        sim.schedule_at(5, lambda: None)      # before an earlier entry
+        sim.schedule_at(0, lambda: None)      # at the current instant
         assert sim.pending_events == 3
         sim.run()
         assert sim.pending_events == 0
 
     def test_far_future_events_execute_in_order(self):
-        """Events beyond the FIFO admission horizon are heap-routed but
-        must still interleave correctly with near events."""
+        """Events more than 1 us ahead must still interleave correctly
+        with near events."""
         sim = Simulator()
         order = []
         sim.schedule_at(10 * US, lambda: order.append("far"))
@@ -148,9 +123,9 @@ class TestLaneEquivalence:
 
 class TestRunSafety:
     def test_nested_run_raises(self):
-        """run() is explicitly non-reentrant: the lane consumption state
-        lives in the outer frame, so a nested call must fail loudly
-        instead of re-executing consumed events."""
+        """run() is explicitly non-reentrant: the outer call owns the
+        ``until`` / ``max_events`` accounting, so a nested call must
+        fail loudly."""
         sim = Simulator()
         errors = []
 
@@ -185,8 +160,179 @@ class TestRunSafety:
         def observe():
             seen.append(sim.pending_events)
 
-        sim.schedule_at(10, observe)        # fifo
-        sim.schedule_at(5, observe)         # heap
-        sim.schedule_at(0, observe)         # immediate
+        sim.schedule_at(10, observe)
+        sim.schedule_at(5, observe)         # before an earlier entry
+        sim.schedule_at(0, observe)         # at the current instant
         sim.run()
         assert seen == [2, 1, 0]
+
+
+# ----------------------------------------------------------------------
+# Randomized programs against a reference order model
+# ----------------------------------------------------------------------
+#: Events one program may create; fired events stop spawning after it.
+_EVENT_BUDGET = 60
+
+_METHODS = ("schedule", "schedule_at", "schedule_call_at")
+
+#: Delays relative to ``now``: same instant, nearby (with frequent
+#: ties), more than 1 us ahead, and into the past.
+_delays = st.one_of(st.just(0), st.integers(1, 8),
+                    st.integers(US + 1, US + 8), st.integers(-8, -1))
+_spawns = st.tuples(st.sampled_from(_METHODS), _delays)
+_actions = st.one_of(
+    st.tuples(st.just("until"), st.integers(-3, 2 * US + 16)),
+    st.tuples(st.just("max"), st.integers(1, 12)),
+    st.tuples(st.just("both"), st.integers(-3, 2 * US + 16),
+              st.integers(1, 12)),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("spawn"), _spawns),
+)
+
+
+class _Program:
+    """Runs one program: event ``i`` records what it observes when it
+    fires, then spawns the events of ``behaviours[i % len]``.  The
+    subclass decides how events are queued and run."""
+
+    def __init__(self, behaviours):
+        self.behaviours = behaviours
+        self.trace = []
+        self.next_id = 0
+
+    def spawn(self, method, delay):
+        eid = self.next_id
+        if eid >= _EVENT_BUDGET:
+            return
+        self.next_id += 1
+        try:
+            self.queue(method, self.now + delay, eid)
+        except SimulationError:
+            self.trace.append(("past", eid))
+
+    def fire(self, eid):
+        self.trace.append((self.now, eid, self.pending_events,
+                           self.quiescent_now()))
+        for method, delay in self.behaviours[eid % len(self.behaviours)]:
+            self.spawn(method, delay)
+
+
+class _EngineProgram(_Program):
+    def __init__(self, behaviours):
+        super().__init__(behaviours)
+        self.sim = Simulator()
+
+    @property
+    def now(self):
+        return self.sim.now
+
+    @property
+    def pending_events(self):
+        return self.sim.pending_events
+
+    @property
+    def events_run(self):
+        return self.sim.events_run
+
+    def quiescent_now(self):
+        return self.sim.quiescent_now()
+
+    def queue(self, method, time_ps, eid):
+        sim = self.sim
+        if method == "schedule":
+            sim.schedule(time_ps - sim.now, lambda: self.fire(eid))
+        elif method == "schedule_at":
+            sim.schedule_at(time_ps, lambda: self.fire(eid))
+        else:
+            sim.schedule_call_at(time_ps, self.fire, eid)
+
+    def run(self, until=None, max_events=None):
+        return self.sim.run(until=until, max_events=max_events)
+
+
+class _ReferenceProgram(_Program):
+    """The order contract, spelled out: a list kept sorted by
+    ``(time, insertion order)``; the earliest entry runs next."""
+
+    def __init__(self, behaviours):
+        super().__init__(behaviours)
+        self.now = 0
+        self.pending = []
+        self.inserted = 0
+        self.events_run = 0
+
+    @property
+    def pending_events(self):
+        return len(self.pending)
+
+    def quiescent_now(self):
+        return all(time > self.now for time, _, _ in self.pending)
+
+    def queue(self, method, time_ps, eid):
+        if time_ps < self.now:
+            raise SimulationError("past")
+        self.pending.append((time_ps, self.inserted, eid))
+        self.inserted += 1
+        self.pending.sort()
+
+    def run(self, until=None, max_events=None):
+        if until is not None and until < self.now:
+            raise SimulationError("past")
+        executed = 0
+        while self.pending:
+            time_ps, _, eid = self.pending[0]
+            if until is not None and time_ps > until:
+                break
+            del self.pending[0]
+            self.now = time_ps
+            self.fire(eid)
+            executed += 1
+            self.events_run += 1
+            if max_events is not None and executed >= max_events:
+                return executed
+        if until is not None:
+            self.now = until
+        return executed
+
+
+def _apply(program, action):
+    """One top-level action; returns what it returned or raised."""
+    kind = action[0]
+    try:
+        if kind == "spawn":
+            program.spawn(*action[1])
+            return None
+        if kind == "until":
+            return program.run(until=program.now + action[1])
+        if kind == "max":
+            return program.run(max_events=action[1])
+        if kind == "both":
+            return program.run(until=program.now + action[1],
+                               max_events=action[2])
+        return program.run()
+    except SimulationError:
+        return "past"
+
+
+class TestReferenceOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(initial=st.lists(_spawns, min_size=1, max_size=12),
+           behaviours=st.lists(st.lists(_spawns, max_size=3),
+                               min_size=1, max_size=6),
+           actions=st.lists(_actions, min_size=1, max_size=8))
+    def test_engine_matches_sorted_list_model(self, initial, behaviours,
+                                              actions):
+        engine = _EngineProgram(behaviours)
+        model = _ReferenceProgram(behaviours)
+        for program in (engine, model):
+            for method, delay in initial:
+                program.spawn(method, delay)
+        assert engine.trace == model.trace
+        for action in actions + [("drain",)]:
+            returned = _apply(engine, action)
+            assert returned == _apply(model, action), action
+            assert engine.trace == model.trace
+            assert engine.now == model.now
+            assert engine.pending_events == model.pending_events
+            assert engine.events_run == model.events_run
+        assert engine.pending_events == 0

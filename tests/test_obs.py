@@ -169,7 +169,7 @@ class TestEngineCounters:
                           (Gauge, "inc"), (Histogram, "observe")):
             monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
 
-        # Immediate, FIFO-lane and heap-lane events, as in a memory
+        # Same-instant, near and far events, as in a memory
         # simulation: a 1 ns chain with wake-ups and far refresh ticks.
         sim = Simulator()
         ticks = 0
