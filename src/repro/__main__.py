@@ -1045,9 +1045,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--against", default=None, metavar="REF",
                         help="instead: run a fixed default-scale set "
                              "(fig11, fig12, sec114, fig3, fig6, reduced "
-                             "fig13) in this source tree and in git "
-                             "revision REF's, and require equal result "
-                             "checksums")
+                             "fig13 and fig10) in this source tree and in "
+                             "git revision REF's, and require equal "
+                             "result checksums")
     _add_backend_option(p_diff)
     p_diff.set_defaults(func=cmd_diffcheck)
 

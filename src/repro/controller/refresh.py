@@ -25,6 +25,8 @@ class RefreshScheduler:
         self.config = config
         self.policy = config.refresh_policy
         self._started = False
+        #: Each rank's REF period, read by its pending grid-point event.
+        self._periods = [0] * config.org.ranks
 
     def start(self) -> None:
         """Arm the per-rank refresh timers (idempotent)."""
@@ -35,7 +37,11 @@ class RefreshScheduler:
         trefi = self.config.timing.tREFI
         period = trefi if self.policy is RefreshPolicy.EVERY_TREFI else 2 * trefi
         for rank in range(self.config.org.ranks):
-            self.sim.schedule_at(period, lambda r=rank, p=period: self._tick(r, p))
+            self._periods[rank] = period
+            self.sim.schedule_call_at(period, self._grid_point, rank)
+
+    def _grid_point(self, rank: int) -> None:
+        self._tick(rank, self._periods[rank])
 
     def _tick(self, rank: int, period: int) -> None:
         """Handle the refresh due at this grid point and re-arm.
@@ -44,12 +50,14 @@ class RefreshScheduler:
         mid-preventive-action the REF is *delayed* until the rank
         drains (``RankState.drain``) -- other banks keep serving until
         then (a controller blocks the rank only for the REF itself)."""
+        now = self.sim.now
         drain = self.controller.ranks[rank].drain
-        if drain > self.sim.now:
-            self.sim.schedule_at(drain, lambda: self._issue(rank))
+        if drain > now:
+            self.sim.schedule_call_at(drain, self._issue, rank)
         else:
             self._issue(rank)
-        self.sim.schedule(period, lambda: self._tick(rank, period))
+        self._periods[rank] = period
+        self.sim.schedule_call_at(now + period, self._grid_point, rank)
 
     def _issue(self, rank: int) -> None:
         trfc = self.config.timing.tRFC

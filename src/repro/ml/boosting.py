@@ -1,4 +1,10 @@
-"""Boosted ensembles: gradient boosting (softmax) and AdaBoost (SAMME)."""
+"""Boosted ensembles: gradient boosting (softmax) and AdaBoost (SAMME).
+
+Every tree of a boosted fit sees the same rows, so a fit validates and
+presorts ``X`` once and grows each tree on that order; the training-set
+predictions a boosting round needs come from the leaves the tree just
+grew (``fitted``), not from ``predict``.
+"""
 
 from __future__ import annotations
 
@@ -40,6 +46,9 @@ class GradientBoostingClassifier(Classifier):
         priors = onehot.mean(axis=0).clip(1e-9, 1.0)
         self._init_scores = np.log(priors)
         scores = np.tile(self._init_scores, (n, 1))
+        order = np.argsort(X.T, axis=1, kind="stable")
+        ones = np.ones(n)
+        fitted = np.empty(n)
         self.stages_ = []
         for stage in range(self.n_estimators):
             residual = onehot - _softmax(scores)
@@ -48,8 +57,9 @@ class GradientBoostingClassifier(Classifier):
                 tree = DecisionTreeRegressor(
                     max_depth=self.max_depth,
                     seed=self.seed * 7919 + stage * n_classes + k)
-                tree.fit(X, residual[:, k])
-                scores[:, k] += self.learning_rate * tree.predict(X)
+                tree.n_features_ = self.n_features_
+                tree._grow(X, residual[:, k], ones, order, fitted)
+                scores[:, k] += self.learning_rate * fitted
                 stage_trees.append(tree)
             self.stages_.append(stage_trees)
         return self
@@ -92,13 +102,20 @@ class AdaBoostClassifier(Classifier):
         self.n_features_ = X.shape[1]
         n, n_classes = len(X), len(self.classes_)
         weights = np.full(n, 1.0 / n)
+        order = np.argsort(X.T, axis=1, kind="stable")
+        fitted = np.empty((n, n_classes))
         self.estimators_ = []
         self.alphas_ = []
         for i in range(self.n_estimators):
             stump = DecisionTreeClassifier(max_depth=self.max_depth,
                                            seed=self.seed * 31 + i)
-            stump.fit(X, encoded, sample_weight=weights)
-            pred = stump.predict(X)
+            # What ``stump.fit(X, encoded, sample_weight=weights)`` sets:
+            # ``encoded`` holds every class code.
+            stump.classes_ = np.arange(n_classes)
+            stump._n_classes = n_classes
+            stump.n_features_ = self.n_features_
+            stump._grow(X, encoded, weights, order, fitted)
+            pred = np.argmax(fitted, axis=1)
             miss = pred != encoded
             err = float(np.sum(weights * miss) / np.sum(weights))
             if err >= 1.0 - 1.0 / n_classes:

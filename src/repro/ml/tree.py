@@ -9,6 +9,14 @@ its candidate features in one pass: prefix class counts (Gini) or
 prefix sums (variance) taken along the sample axis, one row per
 feature.  ``max_features`` enables the random-subspace behaviour
 random forests need, and ``sample_weight`` support enables boosting.
+
+Without random subspaces, a node drops the features that are constant
+over its rows before it searches: such a feature has no valid cut
+there or anywhere below, and dropping it keeps the others in candidate
+order, so the first least-impurity split does not move.  A boosted fit
+hands every tree the same presort and reads its training predictions
+from the leaves as they are grown (``_grow``'s ``order`` and
+``fitted``).
 """
 
 from __future__ import annotations
@@ -89,7 +97,7 @@ class _BaseTree:
         self.max_features = max_features
         self.seed = seed
         self._root: _Node | None = None
-        self._rng = np.random.default_rng(seed)
+        self._rng: np.random.Generator | None = None
 
     # Subclass hooks ----------------------------------------------------
     def _leaf_value(self, y: np.ndarray, w: np.ndarray):
@@ -115,41 +123,66 @@ class _BaseTree:
             return max(1, min(mf, n_features))
         raise ValueError(f"bad max_features: {mf!r}")
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> None:
-        self._rng = np.random.default_rng(self.seed)
-        order = np.argsort(X.T, axis=1, kind="stable")
-        self._root = self._build(X, y, w, np.arange(len(X)), order, 0)
+    def _grow(self, X: np.ndarray, y: np.ndarray, w: np.ndarray,
+              order: np.ndarray | None = None,
+              fitted: np.ndarray | None = None) -> None:
+        """Grow the tree over every row of ``X``.
+
+        ``order`` is ``np.argsort(X.T, axis=1, kind="stable")`` when the
+        caller already holds it.  If ``fitted`` is given, each leaf
+        writes its value into it at its rows; splits route rows with
+        the ``<=`` test ``predict`` uses, so ``fitted`` ends equal to
+        the tree's predictions on ``X``.
+        """
+        if order is None:
+            order = np.argsort(X.T, axis=1, kind="stable")
+        if self.max_features is not None:
+            self._rng = np.random.default_rng(self.seed)
+        self._root = self._build(X, y, w, np.arange(len(X)), order,
+                                 np.arange(X.shape[1]), 0, fitted)
 
     def _build(self, X: np.ndarray, y: np.ndarray, w: np.ndarray,
-               rows: np.ndarray, order: np.ndarray, depth: int) -> _Node:
-        """Grow the subtree over ``rows`` (ascending); ``order[f]``
-        lists the same rows sorted by feature ``f``."""
+               rows: np.ndarray, order: np.ndarray, features: np.ndarray,
+               depth: int, fitted: np.ndarray | None) -> _Node:
+        """Grow the subtree over ``rows`` (ascending); ``order[i]``
+        lists the same rows sorted by feature ``features[i]``."""
         y_node = y[rows]
         node = _Node(self._leaf_value(y_node, w[rows]))
-        n_features = X.shape[1]
-        if (len(rows) < self.min_samples_split or n_features == 0
+        split = None
+        if not (len(rows) < self.min_samples_split or len(features) == 0
                 or self._is_pure(y_node)
                 or (self.max_depth is not None and depth >= self.max_depth)):
-            return node
-
-        k = self._n_candidate_features(n_features)
-        if k < n_features:
-            candidates = self._rng.choice(n_features, size=k, replace=False)
-            split = self._best_split(X, y, w, order[candidates], candidates)
-        else:
-            split = self._best_split(X, y, w, order, np.arange(n_features))
+            n_features = X.shape[1]
+            k = self._n_candidate_features(n_features)
+            if k < n_features:
+                # Random subspaces draw from every feature, so none is
+                # dropped on this path.
+                candidates = self._rng.choice(n_features, size=k,
+                                              replace=False)
+                split = self._best_split(X, y, w, order[candidates],
+                                         candidates)
+            else:
+                # Drop the features constant over these rows, here and
+                # in the whole subtree (see the module docstring).
+                varies = X[order[:, 0], features] != X[order[:, -1], features]
+                order, features = order[varies], features[varies]
+                if len(features):
+                    split = self._best_split(X, y, w, order, features)
         if split is None:
+            if fitted is not None:
+                fitted[rows] = node.value
             return node
         node.feature, node.threshold = split
         go_left = X[:, node.feature] <= node.threshold
         in_left = go_left[rows]
         sel = go_left[order]
+        n_lanes = len(order)
         node.left = self._build(X, y, w, rows[in_left],
-                                order[sel].reshape(n_features, -1),
-                                depth + 1)
+                                order[sel].reshape(n_lanes, -1), features,
+                                depth + 1, fitted)
         node.right = self._build(X, y, w, rows[~in_left],
-                                 order[~sel].reshape(n_features, -1),
-                                 depth + 1)
+                                 order[~sel].reshape(n_lanes, -1), features,
+                                 depth + 1, fitted)
         return node
 
     def _best_split(self, X: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -260,7 +293,9 @@ class DecisionTreeRegressor(_BaseTree):
         self.n_features_: int | None = None
 
     def _leaf_value(self, y: np.ndarray, w: np.ndarray) -> float:
-        return float(np.average(y, weights=w))
+        # Regression trees grow on unit weights, so the mean is the
+        # weighted average, bit for bit.
+        return float(y.mean())
 
     def _is_pure(self, y: np.ndarray) -> bool:
         return bool(np.all(y == y[0]))

@@ -9,6 +9,14 @@ archive`` -- and requires equal canonical checksums of their raw data.
 
 Each experiment runs as ``python -m repro run NAME --no-cache --workers
 1 --out ...`` in a subprocess per tree, the two trees side by side.
+
+The fig10 case is the only one that runs the browser trace replay and
+the model zoo.  Its checksum covers the captured dataset, every
+model's test accuracy and the cross-validation scores, so it guards
+the captures and coarse ML outcomes: a changed leaf size or tie rule
+in the split search moves it, but a small change to a boosting
+parameter can leave every accuracy as it was.  The tree goldens
+(``tests/test_golden_identity.py``) guard each tree's structure.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 #: ``(experiment, parameter overrides)``: default scale, except fig13
-#: at 2 mixes x 2,000 requests over three N_RH values.
+#: at 2 mixes x 2,000 requests over three N_RH values, and fig10 at 8
+#: sites x 3 captures of 0.25 ms each with 3-fold cross-validation.
 AGAINST_CASES: tuple[tuple[str, dict], ...] = (
     ("fig11", {}),
     ("fig12", {}),
@@ -34,6 +43,8 @@ AGAINST_CASES: tuple[tuple[str, dict], ...] = (
     ("fig6", {}),
     ("fig13", {"n_mixes": 2, "n_requests": 2000,
                "nrh_values": [1024, 256, 64]}),
+    ("fig10", {"n_sites": 8, "traces_per_site": 3,
+               "duration_ps": 250_000_000, "n_splits": 3}),
 )
 
 #: The source tree this process imports (the directory holding

@@ -47,6 +47,11 @@ class ScenarioError(ValueError):
     """Malformed scenario spec (unknown agent kind, bad params, ...)."""
 
 
+#: Exact types ``_json_normal`` returns unchanged without the
+#: isinstance chain (an ``IntEnum`` member is not one of them).
+_JSON_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
 def _json_normal(value):
     """Normalize a params value to its canonical JSON shape.
 
@@ -56,6 +61,8 @@ def _json_normal(value):
     equal to the original.  Agent-kind builders accept the normalized
     shapes (e.g. string symbol keys in a sender's gap table).
     """
+    if type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, enum.Enum):
         return _json_normal(value.value)
     if isinstance(value, dict):

@@ -137,7 +137,9 @@ class Simulator:
 
         ``until`` may not lie in the past: simulated time never moves
         backwards, so ``run(until=T)`` with ``T < now`` raises
-        :class:`SimulationError` (mirroring :meth:`schedule_at`).
+        :class:`SimulationError` (mirroring :meth:`schedule_at`).  A
+        ``max_events`` of 0 fires nothing and leaves ``now`` alone; a
+        negative one raises :class:`SimulationError`.
         """
         if until is not None and until < self.now:
             raise SimulationError(
@@ -151,6 +153,11 @@ class Simulator:
             raise SimulationError(
                 "Simulator.run is not reentrant; do not call run() from "
                 "inside an event callback")
+        if max_events is not None and max_events <= 0:
+            if max_events < 0:
+                raise SimulationError(
+                    f"max_events must be >= 0, not {max_events}")
+            return 0
         self._running = True
         stop_at = _NEVER if until is None else until
         remaining = _NEVER if max_events is None else max_events

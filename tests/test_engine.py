@@ -144,6 +144,26 @@ class TestRunLimits:
         assert sim.run(max_events=3) == 3
         assert sim.pending_events == 7
 
+    def test_zero_budget_fires_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(5, lambda: fired.append(5))
+        sim.schedule_at(6, lambda: fired.append(6))
+        assert sim.run(max_events=0) == 0
+        assert sim.run(until=10, max_events=0) == 0
+        assert fired == [] and sim.now == 0
+        assert sim.pending_events == 2 and sim.events_run == 0
+        assert sim.run(max_events=1) == 1
+        assert fired == [5] and sim.now == 5
+
+    def test_negative_budget_raises(self):
+        sim = Simulator()
+        sim.schedule_at(5, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=-1)
+        assert sim.now == 0 and sim.pending_events == 1
+        assert sim.run() == 1  # not left marked as running
+
     def test_events_run_accumulates(self):
         sim = Simulator()
         sim.schedule(1, lambda: None)

@@ -182,9 +182,9 @@ _delays = st.one_of(st.just(0), st.integers(1, 8),
 _spawns = st.tuples(st.sampled_from(_METHODS), _delays)
 _actions = st.one_of(
     st.tuples(st.just("until"), st.integers(-3, 2 * US + 16)),
-    st.tuples(st.just("max"), st.integers(1, 12)),
+    st.tuples(st.just("max"), st.integers(0, 12)),
     st.tuples(st.just("both"), st.integers(-3, 2 * US + 16),
-              st.integers(1, 12)),
+              st.integers(0, 12)),
     st.tuples(st.just("drain")),
     st.tuples(st.just("spawn"), _spawns),
 )
@@ -278,6 +278,8 @@ class _ReferenceProgram(_Program):
     def run(self, until=None, max_events=None):
         if until is not None and until < self.now:
             raise SimulationError("past")
+        if max_events == 0:
+            return 0
         executed = 0
         while self.pending:
             time_ps, _, eid = self.pending[0]

@@ -183,12 +183,29 @@ def tree_datasets() -> dict:
         w[rng.random(n) < 0.25] = 0.0
         return w
 
-    return {
+    sets = {
         "blobs": (blobs_x, blobs_y, weights(40)),
         "ties": (ties_x, ties_y.astype(int), weights(40)),
         "repeats": (base_x[idx], repeats_y, weights(36)),
         "fingerprint-shape": (fp_x, fp_y, weights(16)),
     }
+
+    # Constant columns at the root, as in the bench fingerprint data
+    # (19 of its 39 features): six constant columns interleaved with
+    # six varying ones, and a last column constant but for one row.
+    constant = np.tile(rng.integers(-1, 3, size=6).astype(float), (30, 1))
+    varying = np.hstack([rng.integers(0, 3, size=(30, 3)).astype(float),
+                         rng.normal(size=(30, 3))])
+    one_off = np.zeros(30)
+    one_off[rng.integers(30)] = 1.0
+    const_x = np.column_stack(
+        [col for pair in zip(constant.T, varying.T) for col in pair]
+        + [one_off])
+    const_y = (varying[:, 0] + (varying[:, 4] > 0) + one_off) % 3
+    flip = rng.random(30) < 0.15
+    const_y[flip] = rng.integers(0, 3, size=int(flip.sum()))
+    sets["constant-columns"] = (const_x, const_y.astype(int), weights(30))
+    return sets
 
 
 def _node_bytes(node, out: list) -> None:
