@@ -57,6 +57,18 @@ def canonicalize(obj):
     (nested) lists/tuples/sets, dicts, enums, dataclasses, and any
     object exposing ``to_dict()`` (e.g. :class:`~repro.sim.config.
     SystemConfig`).  Tuples and lists canonicalize identically.
+
+    A dataclass without ``to_dict`` is reduced in one pass, with no
+    copy: its fields in name order and, inside it, nested dataclasses
+    by their fields (never by ``to_dict``), lists, tuples and
+    namedtuples to lists, dicts by sorted ``str(key)`` and every other
+    value through this function.  ``dataclasses.asdict`` rebuilds
+    exactly those containers (dict keys too) and deep-copies every
+    other value, so this equals ``canonicalize(dataclasses.asdict(obj))``
+    wherever ``asdict`` succeeds.  It raises ``TypeError`` on a dict key
+    that is or holds a dataclass, which it turns into a dict; here such
+    a key is ``str(key)``, as outside a dataclass.  (A container type
+    with its own ``to_dict`` would differ too; ``repro`` has none.)
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -65,10 +77,10 @@ def canonicalize(obj):
     if hasattr(obj, "to_dict"):
         return canonicalize(obj.to_dict())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return canonicalize(dataclasses.asdict(obj))
+        return _asdict_form(obj)
     if isinstance(obj, dict):
         return {str(k): canonicalize(v) for k, v in sorted(
-            obj.items(), key=lambda kv: str(kv[0]))}
+            obj.items(), key=_str_key)}
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
@@ -87,11 +99,46 @@ def canonicalize(obj):
     return repr(type(obj))
 
 
+def _str_key(item):
+    return str(item[0])
+
+
+#: Types ``dataclasses.asdict`` and :func:`canonicalize` both return as
+#: they are.
+_ATOMS = frozenset((type(None), bool, int, float, str))
+
+
+def _asdict_form(obj):
+    """``canonicalize`` of what ``dataclasses.asdict`` makes of ``obj``,
+    a dataclass or a value inside one, in one pass (see
+    :func:`canonicalize`)."""
+    if type(obj) in _ATOMS:
+        return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {name: _asdict_form(getattr(obj, name)) for name in sorted(
+            f.name for f in dataclasses.fields(obj))}
+    if isinstance(obj, (list, tuple)):
+        return [_asdict_form(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _asdict_form(v) for k, v in sorted(
+            obj.items(), key=_str_key)}
+    return canonicalize(obj)
+
+
 def stable_key(payload) -> str:
     """SHA-256 hex digest of the canonical JSON encoding of ``payload``."""
     canonical = json.dumps(canonicalize(payload), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def canonical_digest(data) -> str:
+    """SHA-256 hex digest of an already canonical form
+    (``json.dumps(data, sort_keys=True)``): a response that carries
+    both the data and its checksum canonicalizes once and hashes that.
+    """
+    blob = json.dumps(data, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 def canonical_checksum(value) -> str:
@@ -105,8 +152,7 @@ def canonical_checksum(value) -> str:
     cached HTTP answer can be checked byte-for-byte against a direct
     ``repro run`` of the same spec.
     """
-    blob = json.dumps(canonicalize(value), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return canonical_digest(canonicalize(value))
 
 
 _code_fingerprint: str | None = None

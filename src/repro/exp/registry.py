@@ -19,6 +19,7 @@ lazily on first registry access, so ``import repro`` stays cheap.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Callable
@@ -53,15 +54,20 @@ class ExperimentSpec:
     #: Registration sequence number (stable iteration order).
     order: int = 0
 
+    @functools.cached_property
+    def signature(self) -> inspect.Signature:
+        """The driver's call signature, computed on first use."""
+        return inspect.signature(self.fn)
+
     @property
     def parallelizable(self) -> bool:
         """True when the driver accepts a ``workers`` keyword."""
-        return "workers" in inspect.signature(self.fn).parameters
+        return "workers" in self.signature.parameters
 
     @property
     def seedable(self) -> bool:
         """True when the driver accepts a ``seed`` keyword."""
-        return "seed" in inspect.signature(self.fn).parameters
+        return "seed" in self.signature.parameters
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}

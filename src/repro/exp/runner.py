@@ -24,7 +24,6 @@ Two layers:
 from __future__ import annotations
 
 import hashlib
-import inspect
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -335,7 +334,7 @@ def experiment_key(spec: ExperimentSpec, params: dict) -> str:
     (``workers``) are deliberately excluded.
     """
     try:
-        bound = inspect.signature(spec.fn).bind_partial(**params)
+        bound = spec.signature.bind_partial(**params)
     except TypeError as exc:
         raise ExperimentParamError(
             f"experiment {spec.name!r}: {exc}") from None
@@ -369,7 +368,7 @@ def resolve_run(name: str, params: dict | None = None, *,
     """
     spec = get_experiment(name)
     params = dict(params or {})
-    signature = inspect.signature(spec.fn)
+    signature = spec.signature
     unknown = [k for k in params if k not in signature.parameters]
     if unknown:
         raise ExperimentParamError(

@@ -91,6 +91,12 @@ class _BaseTree:
             raise ValueError("min_samples_split must be >= 2")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if not (max_features is None or max_features == "sqrt"
+                or (isinstance(max_features, int)
+                    and not isinstance(max_features, bool)
+                    and max_features >= 1)):
+            raise ValueError(f"bad max_features: {max_features!r}; "
+                             "expected None, 'sqrt' or an int >= 1")
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -119,9 +125,7 @@ class _BaseTree:
             return n_features
         if mf == "sqrt":
             return max(1, int(np.sqrt(n_features)))
-        if isinstance(mf, int):
-            return max(1, min(mf, n_features))
-        raise ValueError(f"bad max_features: {mf!r}")
+        return min(mf, n_features)
 
     def _grow(self, X: np.ndarray, y: np.ndarray, w: np.ndarray,
               order: np.ndarray | None = None,

@@ -34,7 +34,7 @@ import asyncio
 import json
 import time
 
-from repro.exp.cache import canonical_checksum, canonicalize
+from repro.exp.cache import canonical_digest, canonicalize
 from repro.exp.registry import RegistryError, all_experiments
 from repro.exp.runner import (
     ExperimentParamError,
@@ -196,11 +196,11 @@ class ReproApp:
     # ------------------------------------------------------------------
     def _hit_doc(self, kind: str, name: str, key: str, params: dict,
                  value) -> Response:
+        data = canonicalize(value)
         return json_response({
             "kind": kind, "name": name, "key": key,
             "params": canonicalize(params), "cached": True,
-            "checksum": canonical_checksum(value),
-            "data": canonicalize(value),
+            "checksum": canonical_digest(data), "data": data,
         })
 
     def _queued_doc(self, job: Job, created: bool) -> Response:
@@ -320,9 +320,10 @@ class ReproApp:
         hit, value = self.cache.get(key)
         if not hit:
             raise HttpError(404, f"no cached result under key {key!r}")
+        data = canonicalize(value)
         return json_response({"key": key,
-                              "checksum": canonical_checksum(value),
-                              "data": canonicalize(value)})
+                              "checksum": canonical_digest(data),
+                              "data": data})
 
     def _artifact(self, tail: str, request: Request) -> Response:
         name, dot, fmt = tail.rpartition(".")

@@ -32,7 +32,7 @@ import struct
 import zlib
 
 from repro.analysis.figures import FigureTable, iter_tables
-from repro.exp.cache import canonical_checksum, canonicalize
+from repro.exp.cache import canonical_digest, canonicalize
 
 #: Supported artifact formats and their media types.
 CONTENT_TYPES = {
@@ -51,26 +51,28 @@ class ArtifactError(ValueError):
 # ----------------------------------------------------------------------
 def artifact_doc(name: str, params: dict, key: str, value) -> dict:
     """The machine-readable artifact: provenance + tables + raw data."""
+    data = canonicalize(value)
     return {
         "experiment": name,
         "params": canonicalize(params),
         "key": key,
-        "checksum": canonical_checksum(value),
+        "checksum": canonical_digest(data),
         "tables": [
             {"title": t.title, "columns": list(t.columns),
              "rows": canonicalize(t.rows), "notes": list(t.notes)}
             for t in iter_tables(value)
         ],
-        "data": canonicalize(value),
+        "data": data,
     }
 
 
 def render_markdown(name: str, params: dict, key: str, value) -> str:
     """The human-readable artifact: provenance header + GFM tables."""
     tables = list(iter_tables(value))
+    data = canonicalize(value)
     lines = [f"# `{name}` — cached result artifact", "",
              f"- cache key: `{key}`",
-             f"- checksum: `{canonical_checksum(value)}`",
+             f"- checksum: `{canonical_digest(data)}`",
              f"- params: `{json.dumps(canonicalize(params), sort_keys=True)}`",
              ""]
     for table in tables:
@@ -78,7 +80,7 @@ def render_markdown(name: str, params: dict, key: str, value) -> str:
         lines.append("")
     if not tables:
         lines += ["```json",
-                  json.dumps(canonicalize(value), indent=1, sort_keys=True),
+                  json.dumps(data, indent=1, sort_keys=True),
                   "```", ""]
     return "\n".join(lines)
 

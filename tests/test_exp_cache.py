@@ -1,19 +1,31 @@
 """Tests for the content-addressed result cache."""
 
+import dataclasses
+import enum
+import hashlib
+import json
+import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.figures import FigureTable
+from repro.cpu.probe import LatencySample
 from repro.exp.cache import (
     CACHE_DIR_ENV,
     ResultCache,
+    canonical_checksum,
     canonicalize,
     code_fingerprint,
     stable_key,
 )
 from repro.sim.config import DefenseKind, SystemConfig
+from repro.sim.stats import BlockInterval, BlockKind
 
 
 class TestStableKey:
@@ -43,6 +55,177 @@ class TestStableKey:
         fp = code_fingerprint()
         assert fp == code_fingerprint()
         assert len(fp) == 64
+
+
+# ----------------------------------------------------------------------
+# The canonical form against the asdict-based reference
+# ----------------------------------------------------------------------
+def reference_canonicalize(obj):
+    """``canonicalize`` as it was before the one-pass dataclass walk,
+    copied verbatim but for its name (it deep-copies through
+    ``dataclasses.asdict`` and walks the copy)."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, enum.Enum):
+        return reference_canonicalize(obj.value)
+    if hasattr(obj, "to_dict"):
+        return reference_canonicalize(obj.to_dict())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return reference_canonicalize(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): reference_canonicalize(v) for k, v in sorted(
+            obj.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(obj, (list, tuple)):
+        return [reference_canonicalize(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(reference_canonicalize(v) for v in obj)
+    if isinstance(obj, bytes):
+        return obj.hex()
+    # numpy arrays / scalars (duck-typed so numpy stays off the import
+    # path): canonicalize as nested lists.
+    if hasattr(obj, "tolist"):
+        return reference_canonicalize(obj.tolist())
+    # Callables / exotic objects: fall back to their qualified name so
+    # keys stay deterministic (no memory addresses).
+    name = getattr(obj, "__qualname__", None)
+    if name is not None:
+        return f"{getattr(obj, '__module__', '?')}.{name}"
+    return repr(type(obj))
+
+
+def reference_canonical_checksum(value) -> str:
+    """``canonical_checksum`` before the change, verbatim but for its
+    name and the reference ``canonicalize`` it calls."""
+    blob = json.dumps(reference_canonicalize(value),
+                      sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+@dataclass
+class Pair:
+    left: object
+    right: object = None
+
+
+@dataclass
+class Disagrees:
+    """``canonicalize`` uses this ``to_dict`` at the top level and in
+    plain containers; nested in a dataclass, ``asdict`` walks the
+    fields instead."""
+
+    inner: object
+
+    def to_dict(self) -> dict:
+        return {"from": "to_dict"}
+
+
+@dataclass(frozen=True)
+class Frozen:
+    # Declared out of name order: the canonical form sorts them.
+    x: int
+    tag: str = ""
+
+
+class Color(enum.Enum):
+    RED = "red"
+    MIXED = ("m", 2)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def _plain_function():
+    return None
+
+
+_CALLABLES = (len, math.sqrt, _plain_function, lambda: None, Frozen,
+              Pair.__init__, Frozen(1, "a").__repr__, "text".upper)
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=4), st.binary(max_size=4),
+    st.sampled_from(Color), st.sampled_from(Level),
+    st.sampled_from(BlockKind),
+    st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=4).map(np.array),
+    st.lists(st.floats(allow_nan=False), min_size=2, max_size=4).map(
+        lambda xs: np.array(xs[:2 * (len(xs) // 2)]).reshape(-1, 2)),
+    st.floats().map(np.float64), st.integers(-99, 99).map(np.int32),
+    st.sampled_from(_CALLABLES),
+    st.builds(Frozen, st.integers(), st.text(max_size=3)),
+    st.frozensets(st.builds(Frozen, st.integers(0, 3)), max_size=2),
+    st.sets(st.one_of(st.integers(), st.text(max_size=2)), max_size=3),
+)
+
+_KEYS = st.one_of(
+    st.text(max_size=3), st.integers(-3, 3), st.sampled_from(Color),
+    st.sampled_from(Level), st.tuples(st.integers(0, 2), st.text(max_size=1)),
+    st.builds(LatencySample, st.integers(0, 2), st.integers(0, 2),
+              st.integers(0, 2)))
+
+
+def _extend(children):
+    return st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=3),
+        st.builds(Pair, children, children),
+        st.builds(Disagrees, children),
+        st.builds(LatencySample, children, children, children),
+        st.builds(BlockInterval, st.sampled_from(BlockKind), children,
+                  children, st.integers(0, 3),
+                  st.none() | st.frozensets(st.integers(0, 31), max_size=3)),
+    )
+
+
+_VALUES = st.recursive(_LEAVES, _extend, max_leaves=24)
+
+
+def _outcome(fn, value):
+    """What ``fn(value)`` gives: its JSON text in insertion order (so
+    key order counts), or the type of the exception it raises."""
+    try:
+        return json.dumps(fn(value))
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc)
+
+
+class TestCanonicalFormMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_VALUES, st.builds(Pair, _VALUES, _VALUES),
+                     st.builds(Disagrees, _VALUES)))
+    @example(Pair(Disagrees(Frozen(1, "a")), {2: Level.HIGH, 1: b"\x01"}))
+    @example(Pair([Frozen(3)], {(1, "a"): Color.MIXED, "1": 1, 1: 2}))
+    def test_canonicalize_and_checksum(self, value):
+        expected = _outcome(reference_canonicalize, value)
+        assert _outcome(canonicalize, value) == expected
+        if isinstance(expected, str):
+            assert (canonical_checksum(value)
+                    == reference_canonical_checksum(value))
+
+    def test_fig3_quick_value(self):
+        """The result ``serve-mixed`` serves on every cached hit."""
+        from repro.exp.registry import get_experiment
+        from repro.exp.runner import run_experiment
+
+        quick = get_experiment("fig3").quick
+        value = run_experiment("fig3", quick, use_cache=False).value
+        assert (json.dumps(canonicalize(value))
+                == json.dumps(reference_canonicalize(value)))
+        assert (canonical_checksum(value)
+                == reference_canonical_checksum(value))
+
+    def test_dataclass_dict_key_inside_a_dataclass(self):
+        """``asdict`` turns such a key into a dict, which cannot be a
+        key, so the reference raises; the walk keys it by ``str(key)``
+        as a dict outside a dataclass is keyed."""
+        value = Pair({Frozen(1): "v"})
+        with pytest.raises(TypeError):
+            reference_canonicalize(value)
+        key = str(Frozen(1))
+        assert canonicalize(value) == {"left": {key: "v"}, "right": None}
+        assert canonicalize({Frozen(1): "v"}) == {key: "v"}
 
 
 class TestResultCache:

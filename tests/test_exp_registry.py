@@ -44,6 +44,37 @@ class TestCatalog:
         assert not get_experiment("table3").parallelizable
 
 
+class TestSignature:
+    def test_driver_signature_is_computed_once_per_spec(self,
+                                                        monkeypatch):
+        import inspect
+
+        from repro.exp.runner import experiment_key, resolve_run
+
+        calls = []
+        real_signature = inspect.signature
+
+        def counting_signature(fn):
+            calls.append(fn)
+            return real_signature(fn)
+
+        monkeypatch.setattr(inspect, "signature", counting_signature)
+
+        def driver(n_bits=4, seed=0, workers=None):
+            return n_bits
+
+        spec = ExperimentSpec(name="sig", fn=driver, figure="-", claim="-")
+        assert spec.parallelizable and spec.seedable
+        key = experiment_key(spec, {"n_bits": 5})
+        assert experiment_key(spec, {"n_bits": 5}) == key
+        assert calls == [driver]
+
+        fig3 = get_experiment("fig3")
+        for _ in range(3):
+            resolve_run("fig3", {"pattern_bits": 8}, workers=2)
+        assert calls in ([driver], [driver, fig3.fn])
+
+
 class TestLookup:
     def test_get_by_name(self):
         spec = get_experiment("fig4")

@@ -90,6 +90,21 @@ class TestClassifier:
         with pytest.raises(ValueError):
             DecisionTreeClassifier(min_samples_split=1)
 
+    @pytest.mark.parametrize("bad", ["bogus", "log2", 0, -1, 2.5, True])
+    @pytest.mark.parametrize("model", [DecisionTreeClassifier,
+                                       DecisionTreeRegressor])
+    def test_rejects_bad_max_features_up_front(self, model, bad):
+        # Checked when constructed: a check where a node splits would
+        # miss every fit whose root is pure.
+        with pytest.raises(ValueError, match="bad max_features"):
+            model(max_features=bad)
+
+    @pytest.mark.parametrize("good", [None, "sqrt", 1, 7])
+    def test_accepts_valid_max_features(self, good):
+        tree = DecisionTreeClassifier(max_features=good, seed=1).fit(
+            [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [0, 1, 1])
+        assert list(tree.predict([[2.0, 2.0]])) == [1]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features(self, bad):
         # A NaN/inf midpoint threshold sends every row to one child,
