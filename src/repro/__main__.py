@@ -513,15 +513,8 @@ def cmd_cache(args) -> int:
 def cmd_worker(args) -> int:
     from repro.dist.worker import main as worker_main
 
-    argv = []
-    if args.no_warm:
-        argv.append("--no-warm")
-    if args.connect:
-        argv.extend(["--connect", args.connect,
-                     "--retry", str(args.retry)])
-        if args.reconnect:
-            argv.append("--reconnect")
-    return worker_main(argv)
+    return worker_main(warm=not args.no_warm, connect=args.connect,
+                       reconnect=args.reconnect, retry=args.retry)
 
 
 # ----------------------------------------------------------------------
@@ -1131,12 +1124,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "of serving stdin (shared secret read "
                                "from REPRO_FLEET_SECRET)")
     p_worker.add_argument("--reconnect", action="store_true",
-                          help="with --connect: redial after a session "
-                               "ends (standing fleet member)")
+                          help="with --connect: redial forever after a "
+                               "session ends (a standing fleet member); "
+                               "a handshake refusal still exits")
     p_worker.add_argument("--retry", type=float, default=60.0,
                           metavar="SECONDS",
-                          help="with --connect: retry the initial "
-                               "connection this long (default: 60)")
+                          help="with --connect: keep retrying the "
+                               "initial connection this long "
+                               "(default: 60)")
     p_worker.set_defaults(func=cmd_worker)
 
     p_stats = sub.add_parser(

@@ -3,17 +3,17 @@
 The stdio shards backend spawns its workers; this module lets workers
 *dial in* instead: the coordinator opens a :class:`FleetServer` on a
 TCP port, and every ``python -m repro worker --connect HOST:PORT``
-that passes the handshake becomes a :class:`RemoteShard` — the same
-NDJSON frame protocol, the same coordinator loop, the same
-crash-requeue/timeout/retry semantics as a locally spawned worker.
-The only transport-visible differences: a timeout kill drops the
-connection instead of signaling a child process, and EOF means "the
-socket closed" rather than "the child exited".
+that passes the handshake becomes a :class:`~repro.dist.shards.Shard`
+over the socket's two text files — the same class, NDJSON frame
+protocol, coordinator loop and crash-requeue/timeout/retry semantics
+as a locally spawned worker.  Only the kill hook differs (it drops the
+connection instead of signaling a child process), and so does how a
+death reads ("connection lost" rather than an exit code).
 
 Connection lifecycle (server side)::
 
     accept -> challenge {nonce} -> read hello -> validate
-       ok     -> welcome {auth}; RemoteShard joins the fleet
+       ok     -> welcome {auth}; the shard joins the fleet
        refuse -> refused {error naming the mismatch}; close
 
 The handshake (see :mod:`repro.dist.protocol`) authenticates **both**
@@ -21,8 +21,9 @@ directions with HMAC proofs of a shared secret over fresh nonces —
 the secret never crosses the wire — and pins the worker's protocol
 version and source-tree fingerprint to the coordinator's.  Until a
 peer is authenticated, nothing it sends is pickle-decoded: the
-handshake frames are plain JSON, and a connection is dropped at the
-first invalid frame.
+handshake frames are plain JSON, each read at most
+:data:`HANDSHAKE_MAX_LINE` characters long, and a connection is
+dropped at the first invalid frame.
 
 A ``status`` client (``repro fleet status``) speaks the same
 challenge/auth opening with a ``status`` role digest and receives one
@@ -42,34 +43,22 @@ from repro.dist.protocol import (
     PROTOCOL_VERSION,
     auth_digest,
     challenge_frame,
+    close_quietly,
     dump_frame,
     hello_frame,
     new_nonce,
     parse_frame,
     validate_hello,
 )
+from repro.dist.shards import Shard
 from repro.obs.metrics import REGISTRY as _METRICS
 
 _CONNECTS = _METRICS.counter(
     "repro_fleet_connects_total",
     "Remote workers that completed the handshake and joined")
-_DISCONNECTS = _METRICS.counter(
-    "repro_fleet_disconnects_total",
-    "Remote worker connections that ended (EOF, kill, or drop)")
 _REFUSALS = _METRICS.counter(
     "repro_fleet_refusals_total",
     "Handshakes refused, by mismatch class")
-_FRAMES_RX = _METRICS.counter(
-    "repro_fleet_frames_received_total",
-    "Frames read from remote workers")
-_FRAMES_TX = _METRICS.counter(
-    "repro_fleet_frames_sent_total", "Frames written to remote workers")
-_BYTES_RX = _METRICS.counter(
-    "repro_fleet_bytes_received_total",
-    "Protocol bytes read from remote workers")
-_BYTES_TX = _METRICS.counter(
-    "repro_fleet_bytes_sent_total",
-    "Protocol bytes written to remote workers")
 
 
 def _refusal_class(reason: str) -> str:
@@ -85,6 +74,11 @@ def _refusal_class(reason: str) -> str:
 
 #: Seconds an accepted connection gets to complete the handshake.
 HANDSHAKE_TIMEOUT = 10.0
+
+#: Longest line read from a peer before it has proved the secret.  A
+#: hello is under 300 characters; the cap stops a peer from making the
+#: reader buffer an unbounded line.
+HANDSHAKE_MAX_LINE = 64 * 1024
 
 #: Delay between connection attempts while a worker waits for its
 #: coordinator to come up (or back up, in ``--reconnect`` mode).
@@ -123,92 +117,26 @@ def _frame_files(sock: socket.socket):
     return rfile, wfile
 
 
-class RemoteShard:
-    """A dialed-in worker: the fleet-side handle of one TCP connection.
+def _read_handshake_frame(rfile) -> dict | None:
+    """One handshake frame (``None`` for EOF or a non-frame line);
+    :class:`HandshakeError` for a line over :data:`HANDSHAKE_MAX_LINE`
+    or one that is not UTF-8."""
+    try:
+        line = rfile.readline(HANDSHAKE_MAX_LINE + 1)
+    except UnicodeDecodeError:
+        raise HandshakeError("handshake line is not UTF-8") from None
+    if len(line) > HANDSHAKE_MAX_LINE:
+        raise HandshakeError(
+            f"handshake line longer than {HANDSHAKE_MAX_LINE} characters")
+    return parse_frame(line)
 
-    Implements the same surface the coordinator uses on a local
-    ``_Shard`` (``send``/``send_many``/``kill``/``shutdown``/``alive``/
-    ``depth``/``ready``), so :meth:`repro.dist.shards.ShardsBackend.run`
-    treats both identically.  Born ``ready``: the server validated the
-    hello before constructing it.
-    """
 
-    remote = True
-
-    def __init__(self, sock: socket.socket, rfile, wfile,
-                 addr: tuple, hello: dict, outq: queue.Queue) -> None:
-        self._sock = sock
-        self._rfile = rfile
-        self._wfile = wfile
-        self._dead = False
-        self._lock = threading.Lock()
-        self.addr = f"{addr[0]}:{addr[1]}"
-        self.pid = hello.get("pid")
-        self.version = hello.get("version")
-        self.fingerprint = hello.get("fingerprint")
-        self.id = f"tcp:{self.addr}:pid{self.pid}"
-        self.depth = 0
-        self.ready = True
-        self.trials_done = 0
-        self._reader = threading.Thread(
-            target=self._read_loop, args=(outq,), daemon=True,
-            name=f"repro-{self.id}-reader")
-        self._reader.start()
-
-    def _read_loop(self, outq: queue.Queue) -> None:
-        try:
-            for line in self._rfile:
-                _BYTES_RX.inc(len(line))
-                frame = parse_frame(line)
-                if frame is not None:
-                    _FRAMES_RX.inc()
-                    outq.put(("frame", self, frame))
-        except (OSError, ValueError):  # pragma: no cover - teardown race
-            pass
-        self._dead = True
-        _DISCONNECTS.inc()
-        outq.put(("eof", self, None))
-
-    @property
-    def alive(self) -> bool:
-        return not self._dead
-
-    def send(self, frame: dict) -> bool:
-        return self.send_many([frame])
-
-    def send_many(self, frames: list[dict]) -> bool:
-        try:
-            block = "".join(map(dump_frame, frames))
-            with self._lock:
-                self._wfile.write(block)
-                self._wfile.flush()
-            _FRAMES_TX.inc(len(frames))
-            _BYTES_TX.inc(len(block))
-            return True
-        except (OSError, ValueError):
-            return False
-
-    def kill(self) -> None:
-        """Drop the connection (the TCP analogue of SIGKILL): the
-        worker sees EOF and the coordinator's reader thread reports
-        ours."""
-        self._dead = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    def shutdown(self) -> None:
-        if not self._dead:
-            self.send({"op": "shutdown"})
-        self.kill()
-
-    def death_detail(self) -> str:
-        return "connection lost"
+def _drop(sock: socket.socket) -> None:
+    """The TCP kill hook: the worker sees EOF, and so does our reader."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    finally:
+        sock.close()
 
 
 class FleetServer:
@@ -269,62 +197,70 @@ class FleetServer:
                              name=f"repro-fleet-handshake:{addr}").start()
 
     def _handshake(self, conn: socket.socket, addr) -> None:
+        peer = f"{addr[0]}:{addr[1]}"
+        rfile, wfile = _frame_files(conn)
         try:
-            conn.settimeout(HANDSHAKE_TIMEOUT)
-            rfile, wfile = _frame_files(conn)
-            nonce = new_nonce()
-            wfile.write(dump_frame(challenge_frame(nonce)))
-            wfile.flush()
-            frame = parse_frame(rfile.readline())
-            if frame is None:
-                return self._refuse(conn, wfile, addr,
-                                    "no hello frame received")
-            op = frame.get("op")
-            if op == "status":
-                return self._serve_status(conn, wfile, addr, frame, nonce)
-            if op != "hello":
-                return self._refuse(conn, wfile, addr,
-                                    f"expected a hello frame, got {op!r}")
-            reason = validate_hello(frame, fingerprint=self._fingerprint,
-                                    secret=self._secret, nonce=nonce)
-            if reason is not None:
-                return self._refuse(conn, wfile, addr, reason)
-            wfile.write(dump_frame({
-                "op": "welcome",
-                "auth": auth_digest(self._secret, "coordinator", nonce,
-                                    str(frame.get("nonce", "")))}))
-            wfile.flush()
-            conn.settimeout(None)
-            shard = RemoteShard(conn, rfile, wfile, addr, frame,
-                                self._outq)
-            _CONNECTS.inc()
-            self._fleet.append(shard)
-            self._outq.put(("join", shard, None))
-            self._on_event("joined",
-                           f"{shard.id} (version {shard.version}, "
-                           f"fingerprint {str(shard.fingerprint)[:12]})")
+            shard = self._admit(conn, rfile, wfile, peer)
         except OSError:  # pragma: no cover - dialer vanished mid-shake
-            try:
-                conn.close()
-            except OSError:
-                pass
+            shard = None
+        if shard is None:
+            close_quietly(wfile, rfile, conn)
+            return
+        _CONNECTS.inc()
+        self._fleet.append(shard)
+        self._outq.put(("join", shard, None))
+        self._on_event("joined",
+                       f"{shard.id} (version {shard.version}, "
+                       f"fingerprint {str(shard.fingerprint)[:12]})")
 
-    def _refuse(self, conn, wfile, addr, reason: str) -> None:
+    def _admit(self, conn, rfile, wfile, peer: str):
+        """Challenge the peer and validate its hello: the worker's shard,
+        or ``None`` once a status query is answered or a peer refused."""
+        conn.settimeout(HANDSHAKE_TIMEOUT)
+        nonce = new_nonce()
+        wfile.write(dump_frame(challenge_frame(nonce)))
+        wfile.flush()
+        try:
+            frame = _read_handshake_frame(rfile)
+        except HandshakeError as exc:
+            return self._refuse(wfile, peer, str(exc))
+        if frame is None:
+            return self._refuse(wfile, peer, "no hello frame received")
+        op = frame.get("op")
+        if op == "status":
+            return self._serve_status(wfile, peer, frame, nonce)
+        if op != "hello":
+            return self._refuse(wfile, peer,
+                                f"expected a hello frame, got {op!r}")
+        reason = validate_hello(frame, fingerprint=self._fingerprint,
+                                secret=self._secret, nonce=nonce)
+        if reason is not None:
+            return self._refuse(wfile, peer, reason)
+        wfile.write(dump_frame({
+            "op": "welcome",
+            "auth": auth_digest(self._secret, "coordinator", nonce,
+                                str(frame.get("nonce", "")))}))
+        wfile.flush()
+        conn.settimeout(None)
+        pid = frame.get("pid")
+        shard = Shard(self._outq, rfile, wfile, lambda: _drop(conn),
+                      lambda: "connection lost", transport="tcp",
+                      shard_id=f"tcp:{peer}:pid{pid}", pid=pid, addr=peer)
+        shard.accept(frame)
+        return shard
+
+    def _refuse(self, wfile, peer: str, reason: str) -> None:
         self.refused_count += 1
         self.last_refusal = reason
         _REFUSALS.inc(reason=_refusal_class(reason))
-        self._on_event("refused", f"{addr[0]}:{addr[1]}: {reason}")
+        self._on_event("refused", f"{peer}: {reason}")
         try:
             wfile.write(dump_frame({"op": "refused", "error": reason}))
             wfile.flush()
         except OSError:  # pragma: no cover
             pass
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
 
-    def _serve_status(self, conn, wfile, addr, frame: dict,
+    def _serve_status(self, wfile, peer: str, frame: dict,
                       nonce: str) -> None:
         expected = auth_digest(self._secret, "status", nonce,
                                str(frame.get("nonce", "")))
@@ -333,32 +269,25 @@ class FleetServer:
         presented = frame.get("auth")
         if (not isinstance(presented, str)
                 or not _hmac.compare_digest(presented, expected)):
-            return self._refuse(conn, wfile, addr,
+            return self._refuse(wfile, peer,
                                 "status query authentication failed")
         wfile.write(dump_frame({"op": "status", **self.status_doc()}))
         wfile.flush()
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
 
     # -- introspection ---------------------------------------------------
     def status_doc(self) -> dict:
         """The fleet as one JSON document (served to ``fleet status``)."""
-        workers = []
-        for shard in list(self._fleet):
-            workers.append({
-                "id": shard.id,
-                "transport": "tcp" if getattr(shard, "remote", False)
-                             else "stdio",
-                "addr": getattr(shard, "addr", None),
-                "version": getattr(shard, "version", None),
-                "fingerprint": getattr(shard, "fingerprint", None),
-                "ready": shard.ready,
-                "alive": shard.alive,
-                "in_flight": shard.depth,
-                "trials_done": getattr(shard, "trials_done", 0),
-            })
+        workers = [{
+            "id": shard.id,
+            "transport": shard.transport,
+            "addr": shard.addr,
+            "version": shard.version,
+            "fingerprint": shard.fingerprint,
+            "ready": shard.ready,
+            "alive": shard.alive,
+            "in_flight": shard.depth,
+            "trials_done": shard.trials_done,
+        } for shard in list(self._fleet)]
         doc = {
             "listen": self.address,
             "protocol_version": PROTOCOL_VERSION,
@@ -391,12 +320,15 @@ def _open_and_challenge(host: str, port: int, timeout: float):
     sock = socket.create_connection((host, port), timeout=timeout)
     sock.settimeout(HANDSHAKE_TIMEOUT)
     rfile, wfile = _frame_files(sock)
-    frame = parse_frame(rfile.readline())
-    if frame is None or frame.get("op") != "challenge":
-        sock.close()
-        raise HandshakeError(
-            f"{host}:{port} did not open with a challenge frame "
-            "(is that really a repro fleet coordinator?)")
+    try:
+        frame = _read_handshake_frame(rfile)
+        if frame is None or frame.get("op") != "challenge":
+            raise HandshakeError(
+                f"{host}:{port} did not open with a challenge frame "
+                "(is that really a repro fleet coordinator?)")
+    except BaseException:
+        close_quietly(wfile, rfile, sock)
+        raise
     return sock, rfile, wfile, str(frame.get("nonce", ""))
 
 
@@ -429,30 +361,31 @@ def connect_worker(host: str, port: int, *, secret: str,
             time.sleep(RETRY_DELAY)
     worker_nonce = new_nonce()
     auth = auth_digest(secret, "worker", nonce, worker_nonce)
-    wfile.write(dump_frame(hello_frame(fingerprint, nonce=worker_nonce,
-                                       auth=auth)))
-    wfile.flush()
-    reply = parse_frame(rfile.readline())
-    if reply is None:
-        sock.close()
-        raise HandshakeError(
-            f"coordinator {host}:{port} closed the connection during "
-            "the handshake")
-    if reply.get("op") == "refused":
-        sock.close()
-        raise HandshakeError(
-            f"refused by coordinator {host}:{port}: "
-            f"{reply.get('error', 'no reason given')}")
-    import hmac as _hmac
+    try:
+        wfile.write(dump_frame(hello_frame(fingerprint, nonce=worker_nonce,
+                                           auth=auth)))
+        wfile.flush()
+        reply = _read_handshake_frame(rfile)
+        if reply is None:
+            raise HandshakeError(
+                f"coordinator {host}:{port} closed the connection during "
+                "the handshake")
+        if reply.get("op") == "refused":
+            raise HandshakeError(
+                f"refused by coordinator {host}:{port}: "
+                f"{reply.get('error', 'no reason given')}")
+        import hmac as _hmac
 
-    expected = auth_digest(secret, "coordinator", nonce, worker_nonce)
-    presented = reply.get("auth")
-    if (reply.get("op") != "welcome" or not isinstance(presented, str)
-            or not _hmac.compare_digest(presented, expected)):
-        sock.close()
-        raise HandshakeError(
-            f"coordinator {host}:{port} failed mutual authentication "
-            "(bad welcome proof) — refusing to accept tasks from it")
+        expected = auth_digest(secret, "coordinator", nonce, worker_nonce)
+        presented = reply.get("auth")
+        if (reply.get("op") != "welcome" or not isinstance(presented, str)
+                or not _hmac.compare_digest(presented, expected)):
+            raise HandshakeError(
+                f"coordinator {host}:{port} failed mutual authentication "
+                "(bad welcome proof) — refusing to accept tasks from it")
+    except BaseException:
+        close_quietly(wfile, rfile, sock)
+        raise
     sock.settimeout(None)
     return sock, rfile, wfile
 
@@ -470,7 +403,7 @@ def query_status(host: str, port: int, *, secret: str,
         wfile.flush()
         reply = parse_frame(rfile.readline())
     finally:
-        sock.close()
+        close_quietly(wfile, rfile, sock)
     if reply is None:
         raise HandshakeError(
             f"coordinator {host}:{port} closed the connection without "

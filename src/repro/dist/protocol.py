@@ -261,6 +261,16 @@ def parse_frame(line: str) -> dict | None:
     return frame if isinstance(frame, dict) else None
 
 
+def close_quietly(*streams) -> None:
+    """Close a transport's files and sockets in order; a flush into a
+    peer that is already gone is not an error."""
+    for stream in streams:
+        try:
+            stream.close()
+        except OSError:
+            pass
+
+
 def task_frame(task_id: str, ref: str, point, seed, ff: str | None) -> dict:
     return {"op": "run", "id": task_id, "fn": ref,
             "point": encode_value(point), "seed": seed, "ff": ff}

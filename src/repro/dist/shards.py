@@ -38,17 +38,15 @@ Workers inherit this process's ``sys.path`` via ``PYTHONPATH`` so the
 fleet can execute any trial function the coordinator can import — the
 local-machine analogue of shipping the code tree to a remote fleet.
 
-**Transports.**  The coordinator is transport-agnostic: a shard is
-anything with ``send``/``send_many``/``kill``/``shutdown``/``alive``/
-``ready`` whose frames land on the coordinator's event queue.  Two
-transports exist today: :class:`_Shard` (a locally spawned ``repro
-worker`` over stdio pipes — the default, and the reference semantics)
-and :class:`repro.dist.net.RemoteShard` (a worker that dialed into
-the coordinator's TCP :class:`~repro.dist.net.FleetServer` with
-``repro worker --connect``).  Remote workers ride the same job queue,
-pipelining, crash-requeue, timeout, and retry machinery; the listener
-is enabled by the ``REPRO_FLEET_LISTEN`` (+ mandatory
-``REPRO_FLEET_SECRET``) environment variables, and
+**Transports.**  Every worker is one :class:`Shard`: a reader and a
+writer text file, a kill hook, and how a death reads.
+:func:`spawn_shard` builds one over the stdio pipes of a locally
+spawned ``repro worker`` (the default, and the reference semantics);
+:class:`~repro.dist.net.FleetServer` builds one over the socket of a
+worker that dialed in with ``repro worker --connect``.  Both ride the
+same job queue, pipelining, crash-requeue, timeout, and retry
+machinery; the listener is enabled by the ``REPRO_FLEET_LISTEN`` (+
+mandatory ``REPRO_FLEET_SECRET``) environment variables, and
 ``REPRO_FLEET_SPAWN_LOCAL=0`` runs a remote-only fleet (the
 coordinator then waits up to ``REPRO_FLEET_WAIT`` seconds for the
 first worker to dial in).
@@ -66,6 +64,7 @@ HandshakeError` instead of silently simulating divergent physics.
 
 from __future__ import annotations
 
+import itertools
 import os
 import queue
 import subprocess
@@ -84,6 +83,7 @@ from repro.dist.base import (
 )
 from repro.dist.protocol import (
     HandshakeError,
+    close_quietly,
     dump_frame,
     decode_value,
     fn_ref,
@@ -129,6 +129,20 @@ _SWEEP_GAUGES = {
         ("timeouts", "per-trial timeout kills"),
         ("workers_used", "distinct workers that ran a trial"),
     )}
+# Wire telemetry of both transports, labelled transport="stdio"|"tcp".
+_DISCONNECTS = _METRICS.counter(
+    "repro_fleet_disconnects_total",
+    "Worker links that ended (EOF, kill, or drop)")
+_FRAMES_RX = _METRICS.counter(
+    "repro_fleet_frames_received_total", "Frames read from workers")
+_FRAMES_TX = _METRICS.counter(
+    "repro_fleet_frames_sent_total", "Frames written to workers")
+_BYTES_RX = _METRICS.counter(
+    "repro_fleet_bytes_received_total",
+    "Protocol bytes read from workers")
+_BYTES_TX = _METRICS.counter(
+    "repro_fleet_bytes_sent_total",
+    "Protocol bytes written to workers")
 
 #: Per-trial wall-clock budget in seconds (float; unset/0 disables).
 TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
@@ -164,6 +178,10 @@ MAX_HANDSHAKE_DEATHS = 3
 #: crash requeues and skew the tail of the sweep.
 PREFETCH = 2
 
+#: Seconds a shutting-down worker gets to close its end before it is
+#: killed.
+SHUTDOWN_GRACE = 2.0
+
 _UNSET = object()
 
 
@@ -171,26 +189,30 @@ class ShardError(RuntimeError):
     """A point exhausted its crash-retry budget."""
 
 
-class _Shard:
-    """One worker subprocess plus its reader thread (stdio transport)."""
+class Shard:
+    """One worker's handle, whatever carries its frames.
 
-    _counter = 0
-    remote = False
+    A transport passes in only what differs: the reader and writer text
+    files, ``kill`` (SIGKILL and ``wait`` for a spawned worker,
+    ``shutdown`` plus ``close`` for a socket) and ``death``, how a dead
+    worker reads in diagnostics.  The shard owns the rest: a reader
+    thread that posts ``("frame", shard, frame)`` and ``("eof", shard,
+    None)`` events, writes under one lock, and closing what it holds on
+    every way out.  At EOF the reader closes its file and calls
+    :meth:`kill`; :meth:`kill` closes the writer.
+    """
 
-    def __init__(self, outq: queue.Queue) -> None:
-        _Shard._counter += 1
-        index = _Shard._counter
-        env = dict(os.environ)
-        env[IN_WORKER_ENV] = "1"
-        # Ship the coordinator's import universe: PYTHONPATH covers the
-        # repro checkout and anything else (e.g. a test directory) the
-        # parent could import trial functions from.
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=None,
-            env=env, text=True, encoding="utf-8", bufsize=1)
-        self.id = f"shard{index}:pid{self.proc.pid}"
+    def __init__(self, outq: queue.Queue, rfile, wfile, kill, death, *,
+                 transport: str, shard_id: str, pid: object,
+                 addr: str | None = None) -> None:
+        self.id = shard_id
+        #: ``"stdio"`` or ``"tcp"``: the wire counters' label.
+        self.transport = transport
+        self.remote = transport != "stdio"
+        self.pid = pid
+        self.addr = addr
+        #: No EOF and no kill yet.
+        self.alive = True
         #: Task frames in this worker's hands (spans run() calls: a
         #: sweep aborted by a trial error can leave a worker finishing
         #: stale tasks; the count drains as their frames arrive).
@@ -202,6 +224,11 @@ class _Shard:
         self.ready = False
         self.version: object = None
         self.fingerprint: object = None
+        self._rfile = rfile
+        self._wfile = wfile
+        self._kill = kill
+        self._death = death
+        self._lock = threading.Lock()
         self._reader = threading.Thread(
             target=self._read_loop, args=(outq,), daemon=True,
             name=f"repro-{self.id}-reader")
@@ -209,56 +236,86 @@ class _Shard:
 
     def _read_loop(self, outq: queue.Queue) -> None:
         try:
-            for line in self.proc.stdout:
+            for line in self._rfile:
+                _BYTES_RX.inc(len(line), transport=self.transport)
                 frame = parse_frame(line)
                 if frame is not None:
+                    _FRAMES_RX.inc(transport=self.transport)
                     outq.put(("frame", self, frame))
-        except (OSError, ValueError):  # pragma: no cover - pipe teardown
+        except (OSError, ValueError):  # pragma: no cover - teardown race
             pass
+        close_quietly(self._rfile)
+        self.kill()
+        _DISCONNECTS.inc(transport=self.transport)
         outq.put(("eof", self, None))
 
-    @property
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    def send(self, frame: dict) -> bool:
-        try:
-            self.proc.stdin.write(dump_frame(frame))
-            self.proc.stdin.flush()
-            return True
-        except (OSError, ValueError):
-            return False
+    def accept(self, hello: dict) -> None:
+        """Record a validated hello: the worker may take tasks."""
+        self.version = hello.get("version")
+        self.fingerprint = hello.get("fingerprint")
+        self.ready = True
 
     def send_many(self, frames: list[dict]) -> bool:
         """Write a batch of frames as one block with a single flush."""
         try:
-            self.proc.stdin.write("".join(map(dump_frame, frames)))
-            self.proc.stdin.flush()
-            return True
+            block = "".join(map(dump_frame, frames))
+            with self._lock:
+                self._wfile.write(block)
+                self._wfile.flush()
         except (OSError, ValueError):
             return False
+        _FRAMES_TX.inc(len(frames), transport=self.transport)
+        _BYTES_TX.inc(len(block), transport=self.transport)
+        return True
 
     def kill(self) -> None:
+        """End the worker now (idempotent): the transport's kill first,
+        which unblocks any write in progress, then close the writer."""
+        self.alive = False
         try:
-            self.proc.kill()
+            self._kill()
         except OSError:  # pragma: no cover - already gone
             pass
+        with self._lock:
+            close_quietly(self._wfile)
 
     def death_detail(self) -> str:
-        return f"exit {self.proc.poll()!r}"
+        return self._death()
 
     def shutdown(self) -> None:
+        """Ask the worker to exit, give it :data:`SHUTDOWN_GRACE`
+        seconds to close its end, then kill it."""
         if self.alive:
-            self.send({"op": "shutdown"})
-            try:
-                self.proc.stdin.close()
-            except OSError:  # pragma: no cover
-                pass
-            try:
-                self.proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                self.kill()
-        self.proc.wait()
+            self.send_many([{"op": "shutdown"}])
+            self._reader.join(SHUTDOWN_GRACE)
+        self.kill()
+        self._reader.join(SHUTDOWN_GRACE)
+
+
+_SPAWNED = itertools.count(1)
+
+
+def spawn_shard(outq: queue.Queue) -> Shard:
+    """Start one local ``repro worker`` over stdio pipes."""
+    env = dict(os.environ)
+    env[IN_WORKER_ENV] = "1"
+    # Ship the coordinator's import universe: PYTHONPATH covers the
+    # repro checkout and anything else (e.g. a test directory) the
+    # parent could import trial functions from.
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=None,
+        env=env, text=True, encoding="utf-8", bufsize=1)
+
+    def reap() -> None:
+        proc.kill()
+        proc.wait()
+
+    return Shard(outq, proc.stdout, proc.stdin, reap,
+                 lambda: f"exit {proc.returncode!r}", transport="stdio",
+                 shard_id=f"shard{next(_SPAWNED)}:pid{proc.pid}",
+                 pid=proc.pid)
 
 
 def _truthy(text: str | None, default: bool) -> bool:
@@ -323,10 +380,8 @@ class ShardsBackend(Backend):
         return code_fingerprint()
 
     # -- fleet management ------------------------------------------------
-    def _spawn_one(self) -> _Shard:
-        shard = _Shard(self._outq)
-        self._fleet.append(shard)
-        return shard
+    def _spawn_one(self) -> None:
+        self._fleet.append(spawn_shard(self._outq))
 
     def _ensure_fleet(self, n: int) -> None:
         self._fleet[:] = [s for s in self._fleet if s.alive]
@@ -374,12 +429,12 @@ class ShardsBackend(Backend):
         #: This sweep's task indices in each worker's hands, dispatch
         #: order (the worker runs them in order, so [0] is the running
         #: head).  Workers with no entries are absent.
-        inflight: dict[_Shard, deque[int]] = {}
+        inflight: dict[Shard, deque[int]] = {}
         #: Armed head-of-line deadline per worker: the running head
         #: task's wall-clock budget.  Queued mates are not on the
         #: clock until they reach the head.
-        deadlines: dict[_Shard, float] = {}
-        used: set[str] = set()
+        deadlines: dict[Shard, float] = {}
+        used: set[Shard] = set()
         stats = {"crashes": 0, "retries": 0, "timeouts": 0,
                  "workers_used": 0, "remote_workers_used": 0,
                  "worker_trials": {}}
@@ -404,7 +459,7 @@ class ShardsBackend(Backend):
         #: pending, nothing running, nobody to dispatch to).
         starved_at: float | None = None
 
-        def requeue_from(shard: _Shard, why: str) -> None:
+        def requeue_from(shard: Shard, why: str) -> None:
             entries = inflight.pop(shard)
             deadlines.pop(shard, None)
             _WORKERS_ACTIVE.set(len(inflight))
@@ -449,8 +504,10 @@ class ShardsBackend(Backend):
             # --workers an honest concurrency bound.  Only validated
             # workers are dispatchable: a shard whose hello has not
             # cleared the version/fingerprint handshake gets nothing.
-            active = [s for s in self._fleet
-                      if s.alive and s.ready][:fleet_size]
+            # Workers this sweep already used come first, so a hello
+            # validated mid-sweep cannot displace them.
+            active = sorted((s for s in self._fleet if s.alive and s.ready),
+                            key=lambda s: s not in used)[:fleet_size]
             for shard in active:
                 if shard.depth >= PREFETCH or not pending:
                     continue
@@ -493,12 +550,11 @@ class ShardsBackend(Backend):
                                     _trace.trial_label(pick),
                                     worker=shard.id,
                                     attempt=attempts[pick] + 1)
-                used.add(shard.id)
-                stats["workers_used"] = len(used)
-                _SWEEP_GAUGES["workers_used"].set(len(used))
-                if shard.remote:
-                    stats["remote_workers_used"] = sum(
-                        1 for wid in used if wid.startswith("tcp:"))
+                if shard not in used:
+                    used.add(shard)
+                    stats["workers_used"] = len(used)
+                    stats["remote_workers_used"] += shard.remote
+                    _SWEEP_GAUGES["workers_used"].set(len(used))
                 if timeout and was_idle:
                     # The head starts immediately; mates queue behind
                     # it and get their deadline when they reach the
@@ -615,8 +671,8 @@ class ShardsBackend(Backend):
                 continue
             if op == "hello":
                 # Local stdio transport only: remote hellos are
-                # consumed (and validated) by the FleetServer before a
-                # RemoteShard exists.  A mismatch here means our own
+                # consumed (and validated) by the FleetServer before
+                # their shard exists.  A mismatch here means our own
                 # spawn runs different code than this process — refuse
                 # the worker and fail the sweep loudly rather than let
                 # it poison a bit-identity-pinned sweep.
@@ -638,9 +694,7 @@ class ShardsBackend(Backend):
                     raise HandshakeError(
                         f"refusing locally spawned worker {shard.id}: "
                         f"{reason}")
-                shard.ready = True
-                shard.version = frame.get("version")
-                shard.fingerprint = frame.get("fingerprint")
+                shard.accept(frame)
                 handshake_deaths = 0
                 continue
             shard.depth = max(0, shard.depth - 1)

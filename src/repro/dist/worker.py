@@ -49,7 +49,6 @@ Hygiene the daemon guarantees:
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -59,6 +58,7 @@ import traceback
 from repro.dist.base import IN_WORKER_ENV
 from repro.dist.protocol import (
     HandshakeError,
+    close_quietly,
     decode_value,
     dump_frame,
     error_frame,
@@ -227,51 +227,27 @@ def _connect_main(target: str, *, reconnect: bool, retry_for: float,
         except OSError:
             code = 0  # connection dropped mid-session: a clean EOF
         finally:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
+            # Close the files too: the socket stays open while either
+            # is, and the coordinator waits for our EOF.
+            close_quietly(wfile, rfile, sock)
         if code != 0 or not reconnect:
             return code
         print(f"worker: session ended; redialing {host}:{port} ...",
               file=sys.stderr)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro worker",
-        description="sweep-worker daemon: executes NDJSON task frames "
-                    "from a shards coordinator, over stdin/stdout "
-                    "(spawned by the backend) or a TCP connection "
-                    "(--connect; authenticates with "
-                    "$REPRO_FLEET_SECRET)")
-    parser.add_argument("--no-warm", action="store_true",
-                        help="skip preloading the simulator modules")
-    parser.add_argument("--connect", metavar="HOST:PORT", default=None,
-                        help="dial into a fleet coordinator instead of "
-                             "serving stdin (shared secret read from "
-                             "REPRO_FLEET_SECRET)")
-    parser.add_argument("--reconnect", action="store_true",
-                        help="with --connect: redial forever after a "
-                             "session ends (a standing fleet member); "
-                             "a handshake refusal still exits")
-    parser.add_argument("--retry", type=float, default=60.0,
-                        metavar="SECONDS",
-                        help="with --connect: keep retrying the initial "
-                             "connection this long (default: 60)")
-    args = parser.parse_args(argv)
-
+def main(*, warm: bool = True, connect: str | None = None,
+         reconnect: bool = False, retry: float = 60.0) -> int:
+    """Run the daemon: over stdin/stdout, or dialed into ``connect``
+    (``HOST:PORT``) with ``reconnect`` and ``retry`` as ``repro worker``
+    documents them.  Returns the process exit code."""
     os.environ[IN_WORKER_ENV] = "1"
-    if args.connect:
-        return _connect_main(args.connect, reconnect=args.reconnect,
-                             retry_for=args.retry, warm=not args.no_warm)
+    if connect:
+        return _connect_main(connect, reconnect=reconnect,
+                             retry_for=retry, warm=warm)
 
     proto = _claim_protocol_stream()
-    if not args.no_warm:
+    if warm:
         _warm()
     proto.write(dump_frame(hello_frame(_fingerprint())))
     return _serve(sys.stdin, proto)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -6,8 +6,10 @@ protocol, and the sweep-equivalence contract over TCP."""
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -15,12 +17,23 @@ import pytest
 import dist_trials
 from repro.dist import execution
 from repro.dist.base import BackendUnavailable, register_backend
-from repro.dist.net import parse_hostport, query_status
-from repro.dist.protocol import HandshakeError, PROTOCOL_VERSION
-from repro.dist.shards import ShardsBackend
+from repro.dist.net import (
+    HANDSHAKE_MAX_LINE,
+    connect_worker,
+    parse_hostport,
+    query_status,
+)
+from repro.dist.protocol import (
+    HandshakeError,
+    PROTOCOL_VERSION,
+    close_quietly,
+    parse_frame,
+)
+from repro.dist.shards import ShardsBackend, TIMEOUT_ENV
 from repro.exp.cache import canonicalize, stable_key
 from repro.exp.registry import get_experiment
 from repro.exp.runner import map_trials
+from repro.obs.metrics import REGISTRY
 
 SECRET = "fleet-test-secret"
 
@@ -142,6 +155,137 @@ class TestFleetCrashRecovery:
         assert (stable_key(canonicalize(out))
                 == stable_key(canonicalize(serial)))
         assert out == [v + 1 for v in range(6)]
+
+
+class TestFleetStalls:
+    def test_worker_stalled_mid_frame_is_dropped_and_requeued(
+            self, fleet, monkeypatch):
+        """A peer that takes a task, writes half a result frame and
+        stalls: the per-trial timeout must drop it and requeue the
+        point on the real worker, with the serial result."""
+        backend, spawn = fleet
+        monkeypatch.setenv(TIMEOUT_ENV, "3")
+        spawn()
+        host, port = parse_hostport(backend.server.address)
+        sock, rfile, wfile = connect_worker(
+            host, port, secret=SECRET,
+            fingerprint=backend._expected_fingerprint(), retry_for=30)
+
+        def stall():
+            task = parse_frame(rfile.readline())
+            wfile.write(f'{{"id":"{task["id"]}","ok":true,"res')
+            wfile.flush()
+            rfile.read()  # until the coordinator drops the connection
+
+        staller = threading.Thread(target=stall, daemon=True)
+        staller.start()
+        try:
+            _wait_for_join(backend, count=2)
+            points = list(range(4))
+            with pytest.warns(RuntimeWarning) as records:
+                out = backend.run(dist_trials.square, points, [None] * 4,
+                                  workers=2)
+            staller.join(timeout=30)
+        finally:
+            close_quietly(wfile, rfile, sock)
+        messages = [str(r.message) for r in records]
+        assert any("timeout" in m for m in messages)
+        assert any("requeueing" in m for m in messages)
+        assert out == map_trials(dist_trials.square, points,
+                                 backend="serial")
+        assert backend.last_stats["timeouts"] == 1
+        assert not staller.is_alive()
+
+
+class TestHandshakeLineCap:
+    def test_oversized_hello_is_refused_naming_the_cap(self, fleet,
+                                                       monkeypatch):
+        monkeypatch.setattr("repro.obs.metrics._enabled", True)
+        backend, spawn = fleet
+        refusals = REGISTRY.get_value("repro_fleet_refusals_total",
+                                      reason="protocol")
+        host, port = parse_hostport(backend.server.address)
+        with socket.create_connection((host, port), timeout=30) as sock:
+            reader = sock.makefile("r", encoding="utf-8")
+            assert parse_frame(reader.readline())["op"] == "challenge"
+            try:
+                sock.sendall(b"x" * (4 << 20) + b"\n")
+            except OSError:
+                pass  # refused and dropped before the line was all sent
+            reply = parse_frame(reader.readline())
+            reader.close()
+        assert reply["op"] == "refused"
+        assert str(HANDSHAKE_MAX_LINE) in reply["error"]
+        assert str(HANDSHAKE_MAX_LINE) in backend.server.last_refusal
+        assert backend.server.refused_count == 1
+        assert REGISTRY.get_value("repro_fleet_refusals_total",
+                                  reason="protocol") == refusals + 1
+        # The listener is unharmed: a real worker joins and serves.
+        spawn()
+        out = backend.run(dist_trials.square, [1, 2, 3], [None] * 3,
+                          workers=1)
+        assert out == [1, 4, 9]
+        assert backend.last_stats["remote_workers_used"] == 1
+
+    def test_worker_refuses_an_oversized_challenge(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()[:2]
+
+            def flood():
+                conn, _ = listener.accept()
+                with conn:
+                    try:
+                        conn.sendall(b"y" * (4 << 20))
+                    except OSError:
+                        pass  # the worker hung up at the cap
+
+            server = threading.Thread(target=flood, daemon=True)
+            server.start()
+            with pytest.raises(HandshakeError,
+                               match=str(HANDSHAKE_MAX_LINE)):
+                connect_worker(host, port, secret=SECRET,
+                               fingerprint="f" * 64, retry_for=0)
+            server.join(timeout=30)
+            assert not server.is_alive()
+
+    def test_undecodable_hello_is_refused(self, fleet):
+        backend, _ = fleet
+        host, port = parse_hostport(backend.server.address)
+        with socket.create_connection((host, port), timeout=30) as sock:
+            reader = sock.makefile("r", encoding="utf-8")
+            assert parse_frame(reader.readline())["op"] == "challenge"
+            sock.sendall(b'{"op":"hello","pid":\xff}\n')
+            reply = parse_frame(reader.readline())
+            reader.close()
+        assert reply == {"op": "refused",
+                         "error": "handshake line is not UTF-8"}
+        assert backend.server.refused_count == 1
+
+
+class TestWireCounters:
+    def test_frames_are_counted_under_each_transport(self, fleet,
+                                                     monkeypatch):
+        monkeypatch.setattr("repro.obs.metrics._enabled", True)
+        backend, spawn = fleet
+        spawn()
+        local = ShardsBackend()
+        names = ("repro_fleet_frames_received_total",
+                 "repro_fleet_frames_sent_total",
+                 "repro_fleet_bytes_received_total",
+                 "repro_fleet_bytes_sent_total")
+        points = list(range(6))
+        try:
+            for transport, runner in (("stdio", local), ("tcp", backend)):
+                before = [REGISTRY.get_value(name, transport=transport)
+                          for name in names]
+                runner.run(dist_trials.square, points, [None] * 6,
+                           workers=1)
+                rises = [REGISTRY.get_value(name, transport=transport)
+                         - was for name, was in zip(names, before)]
+                assert min(rises[:2]) >= len(points), (transport, rises)
+                assert min(rises[2:]) > 0, (transport, rises)
+        finally:
+            local.close()
 
 
 class TestFleetRefusals:

@@ -160,8 +160,32 @@ class TestFastForwardPropagation:
         assert on == [True]
 
 
+@pytest.fixture()
+def spawned(monkeypatch):
+    """Every stdio shard the backend spawns during the test."""
+    from repro.dist import shards
+
+    made = []
+    spawn = shards.spawn_shard
+
+    def recording_spawn(outq):
+        made.append(spawn(outq))
+        return made[-1]
+
+    monkeypatch.setattr(shards, "spawn_shard", recording_spawn)
+    return made
+
+
+def _assert_closed(shard):
+    """Both pipes closed and the process reaped (no zombie left)."""
+    assert shard._rfile.closed and shard._wfile.closed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(shard.pid, os.WNOHANG)
+
+
 class TestCrashRecovery:
-    def test_sweep_survives_a_worker_crash(self, backend, tmp_path):
+    def test_sweep_survives_a_worker_crash(self, backend, spawned,
+                                           tmp_path):
         marker = str(tmp_path / "crashed-once")
         points = [{"v": v, "marker": marker if v == 2 else None}
                   for v in range(4)]
@@ -171,6 +195,12 @@ class TestCrashRecovery:
         assert out == [0, 1, 4, 9]  # identical to an uninterrupted run
         assert backend.last_stats["crashes"] == 1
         assert backend.last_stats["retries"] == 1
+        dead = [s for s in spawned if not s.alive]
+        assert len(dead) == 1
+        _assert_closed(dead[0])
+        backend.close()
+        for shard in spawned:
+            _assert_closed(shard)
 
     def test_point_that_keeps_killing_workers_gives_up(self, backend):
         # This point crashes every worker that touches it; the retry
@@ -181,7 +211,7 @@ class TestCrashRecovery:
                 backend.run(dist_trials.always_crash, [{"v": 1}], [None],
                             workers=2)
 
-    def test_per_trial_timeout_kills_and_requeues(self, backend,
+    def test_per_trial_timeout_kills_and_requeues(self, backend, spawned,
                                                   tmp_path, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "2.0")
         marker = str(tmp_path / "hung-once")
@@ -194,6 +224,9 @@ class TestCrashRecovery:
         assert any("requeueing" in m for m in messages)  # the recovery
         assert out == [11]
         assert backend.last_stats["timeouts"] == 1
+        killed = [s for s in spawned if not s.alive]
+        assert len(killed) == 1
+        _assert_closed(killed[0])
 
 
 class TestLocalHandshake:

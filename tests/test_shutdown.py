@@ -88,6 +88,7 @@ class TestServeSignals:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stderr.close()
 
 
 class TestCoordinatorSignals:
@@ -100,7 +101,7 @@ from repro.dist import get_backend, install_signal_shutdown
 install_signal_shutdown()
 backend = get_backend("shards")
 backend._ensure_fleet(2)
-print("pids " + " ".join(str(s.proc.pid) for s in backend._fleet),
+print("pids " + " ".join(str(s.pid) for s in backend._fleet),
       flush=True)
 import dist_trials
 backend.run(dist_trials.sleepy,
@@ -125,6 +126,7 @@ print("finished", flush=True)
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
             for pid in pids:
                 if _alive(pid):  # pragma: no cover - cleanup
                     os.kill(pid, signal.SIGKILL)
@@ -164,6 +166,7 @@ print("finished", flush=True)
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stderr.close()
 
 
 def _worker_children(pid: int) -> list[int]:
