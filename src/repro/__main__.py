@@ -20,9 +20,9 @@ Subcommands::
     python -m repro fleet listen --port 7641   # stand up a fleet hub
     python -m repro fleet status --connect HOST:PORT
     python -m repro stats [--watch 2]     # scrape a server's /metrics
-    python -m repro trace record fig4 --backend shards --workers 4
-    python -m repro trace summary TRACE_fig4.ndjson
-    python -m repro trace export TRACE_fig4.ndjson  # Chrome trace JSON
+    REPRO_TRACE=t.ndjson python -m repro run fig4 --backend shards
+    python -m repro trace summary t.ndjson
+    python -m repro trace export t.ndjson  # Chrome trace JSON
 
 ``run`` and ``scenario run`` go through the on-disk result cache
 (``.repro-cache/`` or ``$REPRO_CACHE_DIR``); ``--no-cache`` forces a
@@ -36,22 +36,19 @@ the ``shards`` worker fleet; see :mod:`repro.dist`): ``--backend NAME``
 wins over the ``REPRO_BACKEND`` environment variable, which wins over
 the ``auto`` heuristic.  When stderr is a terminal, sweeps show a live
 ``k/N trials (cache: h hits)`` line.
-
-For backwards compatibility, ``python -m repro`` with no subcommand
-behaves like ``report``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import json
 import os
 import sys
 
 from repro.analysis.figures import FigureTable, iter_tables
 from repro.analysis.report import quick_report
+from repro.dist import gc_paused
 from repro.exp.registry import RegistryError, all_experiments
 from repro.exp.runner import ExperimentParamError, run_experiment
 
@@ -116,27 +113,6 @@ def _execution(args):
                 progress.finish()
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Run simulations with the cyclic GC paused.
-
-    The event engine allocates hundreds of thousands of short-lived
-    tuples per simulated trial; generation-0 collections cost several
-    percent of wall time and never find garbage mid-trial (the object
-    graphs live until the trial ends).  Reference counting still frees
-    everything acyclic immediately; one collection at the end picks up
-    the per-trial cycles (agents <-> system <-> simulator).
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-            gc.collect()
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -174,7 +150,7 @@ def cmd_run(args) -> int:
 
     params = dict(args.param or [])
     try:
-        with _execution(args), _gc_paused():
+        with _execution(args), gc_paused():
             run = run_experiment(
                 args.experiment, params, workers=args.workers,
                 seed=args.seed, use_cache=not args.no_cache,
@@ -324,7 +300,7 @@ def cmd_scenario_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        with _execution(args), _gc_paused():
+        with _execution(args), gc_paused():
             run = run_scenario(spec, use_cache=not args.no_cache,
                                cache_dir=args.cache_dir)
     except (ScenarioError, ValueError, RuntimeError) as exc:
@@ -386,7 +362,7 @@ def cmd_diffcheck(args) -> int:
     from repro.dist import BackendError
 
     try:
-        with _gc_paused():
+        with gc_paused():
             report = run_diffcheck(
                 experiments=experiments, fuzz=fuzz,
                 fuzz_seed=args.fuzz_seed, fuzz_multi=fuzz_multi,
@@ -697,40 +673,6 @@ def cmd_stats(args) -> int:
         print()
 
 
-def cmd_trace_record(args) -> int:
-    from repro.dist import BackendError
-    from repro.obs import trace
-
-    params = dict(args.param or [])
-    out = args.out or f"TRACE_{args.experiment}.ndjson"
-    try:
-        trace.start(out)
-    except OSError as exc:
-        print(f"error: cannot write trace to {out!r}: {exc}",
-              file=sys.stderr)
-        return 2
-    try:
-        with _execution(args), _gc_paused():
-            run = run_experiment(
-                args.experiment, params, workers=args.workers,
-                seed=args.seed, use_cache=not args.no_cache,
-                cache_dir=args.cache_dir)
-    except (RegistryError, ExperimentParamError, BackendError) as exc:
-        trace.stop()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    events = trace.stop()
-    summary = trace.summarize(events)
-    if run.cached:
-        print(f"note: [{run.name}] was a result-cache hit — no trials "
-              "ran, so the trace has no sweep; rerun with --no-cache "
-              "to record one", file=sys.stderr)
-    print(json.dumps(summary, indent=1, sort_keys=True))
-    print(f"trace written to {out} ({summary['events']} events)",
-          file=sys.stderr)
-    return 0
-
-
 def _load_trace(path: str):
     from repro.obs import trace
 
@@ -813,7 +755,7 @@ def cmd_artifacts(args) -> int:
         # Cache-aware: a cached result renders instantly, a miss
         # computes through the same path as `repro run` (so the key,
         # checksum, and bytes agree with the server's artifact GETs).
-        with _execution(args), _gc_paused():
+        with _execution(args), gc_paused():
             run = run_experiment(args.experiment, params,
                                  use_cache=not args.no_cache,
                                  cache_dir=args.cache_dir)
@@ -877,7 +819,7 @@ def cmd_report(args) -> int:
     from repro.dist import BackendError
 
     try:
-        with _execution(args), _gc_paused():
+        with _execution(args), gc_paused():
             report = quick_report(workers=_auto_workers(args.workers),
                                   use_cache=not args.no_cache,
                                   cache_dir=args.cache_dir)
@@ -921,11 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="LeakyHammer reproduction harness")
-    # Legacy pre-subcommand flag; its own dest so a subcommand's --save
-    # default cannot overwrite it during subparser parsing.
-    parser.add_argument("--save", dest="legacy_save", metavar="PATH",
-                        default=None, help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser(
         "list", help="show the experiment catalog from the registry")
@@ -1009,8 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep all registered experiments plus "
                              "fuzzed scenarios (the default)")
     p_diff.add_argument("--quick", action="store_true",
-                        help="CI smoke subset: 3 experiments + 20 "
-                             "fuzzed + 6 multi-agent scenario specs")
+                        help="CI smoke subset: 4 experiments (fig4 "
+                             "sweeps through the backend) + 20 fuzzed "
+                             "+ 6 multi-agent scenario specs")
     p_diff.add_argument("--fuzz", type=int, default=None, metavar="N",
                         help="number of seeded random scenario specs "
                              "(default: 10 for the full sweep, 20 for "
@@ -1153,30 +1092,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     p_trace = sub.add_parser(
-        "trace", help="record and inspect trial-lifecycle traces "
-                      "(queued -> dispatched -> running -> done)")
+        "trace", help="inspect trial-lifecycle traces (queued -> "
+                      "dispatched -> running -> done) recorded with "
+                      "REPRO_TRACE=PATH")
     trace_sub = p_trace.add_subparsers(dest="trace_command",
                                        required=True)
-    t_record = trace_sub.add_parser(
-        "record", help="run one experiment with lifecycle tracing on; "
-                       "writes an NDJSON event stream")
-    t_record.add_argument("experiment", metavar="NAME",
-                          help="experiment name (see `list`)")
-    _add_execution_options(t_record)
-    t_record.add_argument("--seed", type=int, default=None,
-                          help="override the experiment seed")
-    t_record.add_argument("-p", "--param", action="append",
-                          type=_parse_param, metavar="KEY=VALUE",
-                          help="driver parameter override (JSON value)")
-    t_record.add_argument("--out", metavar="PATH", default=None,
-                          help="trace output path (default: "
-                               "TRACE_<name>.ndjson)")
-    t_record.set_defaults(func=cmd_trace_record)
     t_summary = trace_sub.add_parser(
         "summary", help="per-sweep rollup of a recorded trace: trials, "
                         "requeues, attempts, latency stats")
     t_summary.add_argument("trace", metavar="TRACE.ndjson",
-                           help="NDJSON trace from `trace record` or "
+                           help="NDJSON trace recorded with "
                                 "REPRO_TRACE=PATH")
     t_summary.set_defaults(func=cmd_trace_summary)
     t_export = trace_sub.add_parser(
@@ -1225,17 +1150,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command is None:
-            # Legacy interface: `python -m repro [--save PATH]` == report.
-            with _gc_paused():
-                report = quick_report()
-            print(report.to_markdown())
-            if args.legacy_save:
-                path = report.save(args.legacy_save)
-                print(f"\nreport written to {path}", file=sys.stderr)
-            return 0 if report.all_passed else 1
-        if args.legacy_save and getattr(args, "save", None) is None:
-            args.save = args.legacy_save
         return args.func(args)
     except KeyboardInterrupt:
         # Ctrl-C mid-sweep: drain/kill the worker fleet before exiting

@@ -43,6 +43,7 @@ from repro.dist.context import (
     ExecutionContext,
     current_execution,
     execution,
+    gc_paused,
 )
 from repro.dist.protocol import HandshakeError
 
@@ -59,6 +60,7 @@ __all__ = [
     "check_backend_name",
     "current_execution",
     "execution",
+    "gc_paused",
     "get_backend",
     "install_signal_shutdown",
     "register_backend",

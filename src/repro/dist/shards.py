@@ -299,6 +299,9 @@ def spawn_shard(outq: queue.Queue) -> Shard:
     """Start one local ``repro worker`` over stdio pipes."""
     env = dict(os.environ)
     env[IN_WORKER_ENV] = "1"
+    # A worker ships its run span home in the result frame; a trace of
+    # its own would reopen, and truncate, the coordinator's trace file.
+    env.pop(_trace.TRACE_ENV, None)
     # Ship the coordinator's import universe: PYTHONPATH covers the
     # repro checkout and anything else (e.g. a test directory) the
     # parent could import trial functions from.

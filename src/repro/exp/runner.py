@@ -71,17 +71,13 @@ def _warn_serial_fallback(backend: str, exc: object,
 
 
 def _ambient_fast_forward() -> str:
-    """The process-ambient fast-forward switch ("on"/"off"): the forced
-    override when active, else the environment/default resolution.
-    Part of every trial key — a cache entry computed fast-forwarded
-    must never satisfy an event-accurate run (or vice versa), exactly
-    the mix-up a diffcheck investigation would be hunting."""
+    """The process-ambient fast-forward switch ("on"/"off").  Part of
+    every trial key — a cache entry computed fast-forwarded must never
+    satisfy an event-accurate run (or vice versa), exactly the mix-up
+    a diffcheck investigation would be hunting."""
     from repro.sim import fastforward
 
-    mode = fastforward.forced_mode()
-    if mode is not None:
-        return mode
-    return "on" if fastforward.resolve_enabled(None) else "off"
+    return "on" if fastforward.resolve_enabled() else "off"
 
 
 def trial_key(fn: Callable, point, seed) -> str | None:
@@ -233,20 +229,19 @@ def _scenario_trial(point: dict) -> dict:
     return ScenarioSpec.from_dict(point).run().to_dict()
 
 
-def map_scenarios(specs, *, workers: int | None = None,
-                  backend: str | None = None) -> list[dict]:
+def map_scenarios(specs, *, workers: int | None = None) -> list[dict]:
     """Run scenario specs over the trial backend; results in spec order.
 
     Accepts :class:`~repro.scenario.spec.ScenarioSpec` instances or
     their dict form; each worker receives pure data and returns the
-    JSON-safe ``ScenarioResult.to_dict()`` core.  Any backend's
-    fan-out is bit-identical to serial because a spec fully determines
-    its simulation.
+    JSON-safe ``ScenarioResult.to_dict()`` core.  The ambient
+    :func:`repro.dist.execution` context selects the backend; any
+    backend's fan-out is bit-identical to serial because a spec fully
+    determines its simulation.
     """
     points = [spec.to_dict() if hasattr(spec, "to_dict") else dict(spec)
               for spec in specs]
-    return map_trials(_scenario_trial, points, workers=workers,
-                      backend=backend)
+    return map_trials(_scenario_trial, points, workers=workers)
 
 
 def scenario_key(spec) -> str:
@@ -258,19 +253,18 @@ def scenario_key(spec) -> str:
 
 def run_scenario(spec, *, use_cache: bool = True,
                  cache: ResultCache | None = None,
-                 cache_dir: str | None = None,
-                 backend: str | None = None) -> "ExperimentRun":
+                 cache_dir: str | None = None) -> "ExperimentRun":
     """Execute one scenario spec through the result cache.
 
     The returned :class:`ExperimentRun` carries the serializable result
     core (``ScenarioResult.to_dict()``) as its value, so cache hits and
     fresh runs are interchangeable.  Execution goes through
-    :func:`map_scenarios`, so an explicit ``backend`` (or the ambient
-    execution context) ships the spec to a worker fleet.
+    :func:`map_scenarios`, so the ambient execution context's backend
+    can ship the spec to a worker fleet.
     """
 
     def compute():
-        return map_scenarios([spec], backend=backend)[0]
+        return map_scenarios([spec])[0]
 
     return _through_cache(spec.name, scenario_key(spec),
                           {"scenario": spec.name}, compute,

@@ -2,14 +2,12 @@
 
 Design constraints, in order:
 
-* **Near-zero cost when disabled.**  Every mutation method checks one
-  module-level boolean before touching a lock; the simulator's inner
-  event loop is never instrumented at all — engine and fast-forward
-  totals are *sampled* from the deterministic counters those layers
-  already keep (at ``run()`` exit and at collect time), so the hot
-  path pays nothing whether telemetry is on or off.
-  ``tests/test_obs.py`` pins this structurally: a long ``run()`` with
-  telemetry on makes no metric call at all.
+* **Nothing on the hot path.**  Telemetry is always on, and the
+  simulator's inner event loop is never instrumented at all — engine
+  and fast-forward totals are *sampled* from the deterministic
+  counters those layers already keep (at ``run()`` exit and at collect
+  time).  ``tests/test_obs.py`` pins this structurally: a long
+  ``run()`` makes no metric call at all.
 * **Stdlib only.**  Prometheus text exposition
   (``Registry.to_prometheus``) and a JSON snapshot
   (``Registry.snapshot``) are rendered by hand; no client library.
@@ -22,39 +20,17 @@ Label support is deliberately small: a metric may carry labels per
 observation (``counter.inc(1, route="/healthz")``); each distinct
 label set becomes its own sample.  Keep cardinality low (routes,
 refusal reasons, worker ids of a small fleet).
-
-``REPRO_TELEMETRY=0`` (or ``off``/``false``/``no``) disables all
-mutation at process start; :func:`set_enabled` flips it at runtime.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-
-#: Environment switch: ``0``/``false``/``no``/``off`` disables all
-#: metric mutation (collection still renders, showing zeros).
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 #: Default latency-histogram buckets (seconds): spans sub-millisecond
 #: cached HTTP hits through multi-second simulation trials.
 LATENCY_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
                    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
-
-_enabled = (os.environ.get(TELEMETRY_ENV, "").strip().lower()
-            not in ("0", "false", "no", "off"))
-
-
-def enabled() -> bool:
-    """Whether metric mutation is currently on."""
-    return _enabled
-
-
-def set_enabled(value: bool) -> None:
-    """Flip telemetry at runtime."""
-    global _enabled
-    _enabled = bool(value)
 
 
 def _label_key(labels: dict) -> tuple:
@@ -94,8 +70,6 @@ class Counter(_Metric):
     kind = "counter"
 
     def inc(self, amount: float = 1, **labels) -> None:
-        if not _enabled:
-            return
         key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
@@ -107,14 +81,10 @@ class Gauge(_Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
-        if not _enabled:
-            return
         with self._lock:
             self._values[_label_key(labels)] = value
 
     def inc(self, amount: float = 1, **labels) -> None:
-        if not _enabled:
-            return
         key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
@@ -136,8 +106,6 @@ class Histogram(_Metric):
         self._series: dict[tuple, list[float]] = {}
 
     def observe(self, value: float, **labels) -> None:
-        if not _enabled:
-            return
         key = _label_key(labels)
         with self._lock:
             series = self._series.get(key)

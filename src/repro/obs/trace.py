@@ -29,10 +29,16 @@ Tracing records wall-clock timestamps only and never touches simulated
 state, RNG, or scheduling — a traced sweep is bit-identical to an
 untraced one (``repro diffcheck`` holds with ``REPRO_TRACE`` set).
 
-Enable with :func:`start` (``repro trace record``) or by pointing the
-``REPRO_TRACE`` environment variable at an output path before process
-start.  Events stream to the NDJSON sink as they happen (a crashed
-sweep keeps its partial trace) and are kept in memory for
+Enable with :func:`start` or by pointing the ``REPRO_TRACE``
+environment variable at an output path before process start::
+
+    REPRO_TRACE=t.ndjson python -m repro run fig4 --backend shards
+    python -m repro trace summary t.ndjson
+
+Only the coordinator traces: spawned shards workers start without
+``REPRO_TRACE``, since their run spans ride home in the result
+frames.  Events stream to the NDJSON sink as they happen (a
+crashed sweep keeps its partial trace) and are kept in memory for
 :func:`chrome_trace` / :func:`summarize`.
 """
 

@@ -63,8 +63,9 @@ EXPERIMENT_PARAMS: dict[str, dict] = {
 }
 
 #: The quick smoke subset (CI): cheap but covering a plain probe, a
-#: full covert transmission, and the counter-leak protocol.
-QUICK_EXPERIMENTS = ("fig2", "fig3", "sec91")
+#: full covert transmission, the counter-leak protocol, and one
+#: ``map_trials`` sweep (fig4), the only case that reaches a backend.
+QUICK_EXPERIMENTS = ("fig2", "fig3", "fig4", "sec91")
 
 
 @dataclass

@@ -24,14 +24,12 @@ subscribed async streams (``GET /v1/jobs/{id}/events``).
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import gc
 import queue
 import threading
 import time
 import uuid
 
-from repro.dist import execution
+from repro.dist import execution, gc_paused
 from repro.obs.metrics import REGISTRY as _METRICS
 
 _SSE_SUBSCRIBERS = _METRICS.gauge(
@@ -47,21 +45,6 @@ _JOBS_FINISHED = _METRICS.counter(
 HISTORY_LIMIT = 256
 
 _SHUTDOWN = object()
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Jobs simulate with the cyclic GC paused, exactly like the tuned
-    CLI (see ``repro.__main__``); one collection at the end picks up
-    the per-trial cycles."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-            gc.collect()
 
 
 class Job:
@@ -296,7 +279,7 @@ class JobManager:
             # backend/cache/progress here never leak into (or inherit
             # from) whatever the main thread is doing.
             with execution(backend=self.backend, trial_cache=self.cache,
-                           progress=job._tick), _gc_paused():
+                           progress=job._tick), gc_paused():
                 run = job.work(job._tick)
             job._finish(run, canonical_checksum(run.value))
         except BaseException as exc:  # noqa: BLE001 - job must not kill us

@@ -240,13 +240,6 @@ class SystemConfig:
     loop_overhead: int = 10 * NS
     #: Global seed for workload/agent randomness.
     seed: int = 1
-    #: Fast-forward: wake-event elision, which services a closed-loop
-    #: tail submit inline instead of through a scheduler-wake event
-    #: (see :mod:`repro.sim.fastforward`).  ``None`` resolves through
-    #: the process-wide default (on, unless ``REPRO_FAST_FORWARD=off``
-    #: or a forced override is active); the optimization is
-    #: machine-checked bit-identical by ``python -m repro diffcheck``.
-    fast_forward: bool | None = None
 
     def validate(self) -> None:
         self.timing.validate()

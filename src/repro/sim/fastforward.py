@@ -13,48 +13,32 @@ counted in the engine's ``events_elided``; ``python -m repro
 diffcheck`` machine-checks the identity over every registered
 experiment plus fuzzed scenarios.
 
-Process-wide switches
----------------------
-``SystemConfig.fast_forward`` opts a single system in or out; ``None``
-(the default) resolves through :func:`resolve_enabled`: a
-:func:`forced` override (used by the diffcheck harness) beats the
-config field, which beats the ``REPRO_FAST_FORWARD`` environment
-variable (``off`` disables), which beats the default (**on**).
+The switch
+----------
+Fast-forward is on unless a :func:`forced` override turns it off; the
+diffcheck harness forces ``"off"`` for its baseline runs and ``"on"``
+for the comparison, and the sweep backends ship the forced mode with
+every task so a worker pins its runs exactly like the coordinator.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-
-#: Environment switch consulted by :func:`resolve_enabled`.
-ENV_VAR = "REPRO_FAST_FORWARD"
 
 #: Process-wide forced override: "on", "off", or None (no override).
 _forced: str | None = None
 
 
-def resolve_enabled(field: bool | None) -> bool:
-    """Resolve a ``SystemConfig.fast_forward`` field to a live switch.
-
-    Precedence: :func:`forced` override > explicit config field >
-    ``REPRO_FAST_FORWARD`` env var > default (enabled).
-    """
-    if _forced is not None:
-        return _forced == "on"
-    if field is not None:
-        return bool(field)
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env in ("off", "0", "false", "no"):
-        return False
-    return True
+def resolve_enabled() -> bool:
+    """Whether systems built now elide wakes: on unless forced off."""
+    return _forced != "off"
 
 
 @contextmanager
 def forced(mode: str | None):
     """Force fast-forward ``"on"``/``"off"`` for every system built
-    inside the context, overriding config fields and the environment
-    (how the diffcheck harness pins its baseline runs)."""
+    inside the context (how the diffcheck harness pins its baseline
+    runs)."""
     if mode not in (None, "on", "off"):
         raise ValueError("forced mode must be 'on', 'off', or None")
     global _forced

@@ -45,7 +45,7 @@ class MemorySystem:
         self.refresh = RefreshScheduler(self.sim, self.controller, config)
         # Fast-forward: wake-event elision in the controller
         # (bit-identical; machine-checked by `python -m repro diffcheck`).
-        self.controller.ff_elide = resolve_enabled(config.fast_forward)
+        self.controller.ff_elide = resolve_enabled()
         self.refresh.start()
         self.defense.on_boot()
 

@@ -56,7 +56,7 @@ def ff_enabled(point):
     """What the *worker* resolves the fast-forward switch to."""
     from repro.sim import fastforward
 
-    return fastforward.resolve_enabled(None)
+    return fastforward.resolve_enabled()
 
 
 def elision_trial(point):

@@ -392,22 +392,15 @@ class TestWakeElision:
 
 
 class TestSwitches:
-    def test_forced_overrides_config_field(self):
+    def test_forced_mode_sets_the_system_switch(self):
+        config = SystemConfig(refresh_policy=RefreshPolicy.NONE)
+        assert MemorySystem(config).controller.ff_elide is True
         with fastforward.forced("off"):
-            system = MemorySystem(SystemConfig(
-                refresh_policy=RefreshPolicy.NONE, fast_forward=True))
+            system = MemorySystem(config)
         assert system.controller.ff_elide is False
         with fastforward.forced("on"):
-            system = MemorySystem(SystemConfig(
-                refresh_policy=RefreshPolicy.NONE, fast_forward=False))
+            system = MemorySystem(config)
         assert system.controller.ff_elide is True
-
-    def test_env_var_disables_default(self, monkeypatch):
-        monkeypatch.setenv(fastforward.ENV_VAR, "off")
-        assert fastforward.resolve_enabled(None) is False
-        assert fastforward.resolve_enabled(True) is True
-        monkeypatch.delenv(fastforward.ENV_VAR)
-        assert fastforward.resolve_enabled(None) is True
 
     def test_forced_rejects_bad_mode(self):
         with pytest.raises(ValueError):

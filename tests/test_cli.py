@@ -61,14 +61,11 @@ class TestRun:
         assert rc == 0
         assert "Fig. 4" in out_file.read_text()
 
-    def test_legacy_save_position_still_writes(self, tmp_path, capsys):
-        """Regression: `--save PATH` before the subcommand must not be
-        clobbered by the subparser's own --save default."""
-        out_file = tmp_path / "fig4.txt"
-        rc = main(["--save", str(out_file)] + self.ARGS
-                  + ["--cache-dir", str(tmp_path / "cache")])
-        assert rc == 0
-        assert "Fig. 4" in out_file.read_text()
+    def test_no_subcommand_prints_usage_and_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_unknown_experiment_fails_cleanly(self, capsys):
         rc = main(["run", "fig99"])

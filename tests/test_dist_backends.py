@@ -1,5 +1,7 @@
 """Tests for the backend registry, selection precedence, map_trials
-integration (trial cache, progress, fallback)."""
+integration (trial cache, progress, fallback) and the GC pause."""
+
+import gc
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.dist import (
     IN_WORKER_ENV,
     backend_names,
     execution,
+    gc_paused,
     get_backend,
     register_backend,
     resolve_backend_name,
@@ -104,6 +107,27 @@ class TestResolvePrecedence:
             unregister_backend("spy-test")
         assert out == [4, 9]
         assert seen == [[2, 3]]
+
+
+class TestGcPaused:
+    def test_pauses_the_collector_and_restores_it(self):
+        gc.enable()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError):
+            with gc_paused():
+                raise RuntimeError("trial failed")
+        assert gc.isenabled()
+
+    def test_leaves_a_paused_collector_paused(self):
+        gc.disable()
+        try:
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestBackendEquivalence:

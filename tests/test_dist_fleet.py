@@ -198,9 +198,7 @@ class TestFleetStalls:
 
 
 class TestHandshakeLineCap:
-    def test_oversized_hello_is_refused_naming_the_cap(self, fleet,
-                                                       monkeypatch):
-        monkeypatch.setattr("repro.obs.metrics._enabled", True)
+    def test_oversized_hello_is_refused_naming_the_cap(self, fleet):
         backend, spawn = fleet
         refusals = REGISTRY.get_value("repro_fleet_refusals_total",
                                       reason="protocol")
@@ -263,9 +261,7 @@ class TestHandshakeLineCap:
 
 
 class TestWireCounters:
-    def test_frames_are_counted_under_each_transport(self, fleet,
-                                                     monkeypatch):
-        monkeypatch.setattr("repro.obs.metrics._enabled", True)
+    def test_frames_are_counted_under_each_transport(self, fleet):
         backend, spawn = fleet
         spawn()
         local = ShardsBackend()

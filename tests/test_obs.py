@@ -7,13 +7,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
 import dist_trials
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -24,13 +28,9 @@ from repro.obs.metrics import (
 
 
 @pytest.fixture(autouse=True)
-def _telemetry_on():
-    """Every test here runs with telemetry enabled and tracing off,
-    whatever the ambient environment says."""
-    was = metrics.enabled()
-    metrics.set_enabled(True)
+def _tracing_off():
+    """No test here leaves tracing on for the next."""
     yield
-    metrics.set_enabled(was)
     if trace.active():
         trace.stop()
 
@@ -74,14 +74,6 @@ class TestRegistry:
         assert reg.counter("t_total") is first
         with pytest.raises(TypeError):
             reg.gauge("t_total")
-
-    def test_disabled_fast_path_records_nothing(self):
-        reg = Registry()
-        c = reg.counter("t_total")
-        metrics.set_enabled(False)
-        c.inc(100)
-        metrics.set_enabled(True)
-        assert reg.get_value("t_total") == 0.0
 
     def test_prometheus_exposition_shape(self):
         reg = Registry()
@@ -150,10 +142,9 @@ class TestEngineCounters:
                 - reg_before) == 10
 
     def test_run_loop_makes_no_metric_calls(self, monkeypatch):
-        """Telemetry never enters the event loop: a long run with
-        telemetry on mutates no metric, and its events reach the
-        registry only through the process-wide totals published at
-        ``run()`` exit."""
+        """Telemetry never enters the event loop: a long run mutates
+        no metric, and its events reach the registry only through the
+        process-wide totals published at ``run()`` exit."""
         from repro.sim import engine as engine_mod
         from repro.sim.engine import NS, Simulator
 
@@ -387,6 +378,30 @@ class TestTrace:
         before = trace.events()
         map_trials(dist_trials.square, [1, 2])
         assert trace.events() == before
+
+    def test_env_traced_shards_sweep_writes_a_clean_file(self, tmp_path):
+        """``REPRO_TRACE`` on a shards sweep: spawned workers must not
+        reopen (and truncate) the coordinator's trace file."""
+        path = tmp_path / "sweep.ndjson"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=src, REPRO_TRACE=str(path))
+        subprocess.run(
+            [sys.executable, "-m", "repro", "run", "fig4", "--backend",
+             "shards", "--workers", "2", "--no-cache",
+             "-p", "intensities=[1, 25, 50, 75]", "-p", "n_bits=4"],
+            env=env, cwd=tmp_path, check=True, timeout=300,
+            stdout=subprocess.DEVNULL)
+        raw = path.read_bytes()
+        assert b"\0" not in raw
+        events = [json.loads(line) for line in raw.decode().splitlines()]
+        lives = trace.lifecycles(events)
+        assert len(lives) == 4
+        for trial, life in lives.items():
+            kinds = {ev["ev"] for ev in life["events"]}
+            assert {"queued", "dispatched", "running",
+                    "completed"} <= kinds, (trial, kinds)
 
     def test_corrupt_ndjson_lines_are_skipped(self, tmp_path):
         path = tmp_path / "t.ndjson"

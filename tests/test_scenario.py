@@ -266,6 +266,35 @@ class TestChannelScenarios:
         assert trials_executed() == before
         assert second.value == first.value
 
+    def test_run_scenario_takes_the_ambient_backend(self):
+        from repro.dist import (
+            Backend,
+            execution,
+            register_backend,
+            unregister_backend,
+        )
+        from repro.exp.runner import map_scenarios, run_scenario
+
+        seen = []
+
+        class SpyBackend(Backend):
+            name = "spy-scenario"
+
+            def run(self, fn, points, seeds, *, workers=None,
+                    on_result=None):
+                seen.extend(point["name"] for point in points)
+                return [fn(point) for point in points]
+
+        spec = probe_spec()
+        register_backend("spy-scenario", SpyBackend)
+        try:
+            with execution(backend="spy-scenario"):
+                run = run_scenario(spec, use_cache=False)
+        finally:
+            unregister_backend("spy-scenario")
+        assert seen == ["test-probe"]
+        assert run.value == map_scenarios([spec])[0]
+
 
 class TestReviewRegressions:
     def test_missing_required_field_is_a_scenario_error(self):

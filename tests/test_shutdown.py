@@ -202,7 +202,7 @@ class TestKeyboardInterrupt:
         # main() resolves the symbol via `from repro.dist import ...`.
         monkeypatch.setattr("repro.dist.shutdown_backends",
                             lambda: torn_down.append(True))
-        rc = cli.main([])
+        rc = cli.main(["report"])
         assert rc == 130
         assert torn_down == [True]
         assert "interrupted" in capsys.readouterr().err
