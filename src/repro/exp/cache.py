@@ -22,6 +22,7 @@ import os
 import pickle
 import threading
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -132,13 +133,22 @@ def stable_key(payload) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def canonical_digest(data) -> str:
-    """SHA-256 hex digest of an already canonical form
-    (``json.dumps(data, sort_keys=True)``): a response that carries
-    both the data and its checksum canonicalizes once and hashes that.
-    """
+def canonical_encoding(data) -> tuple[bytes, str]:
+    """``(blob, digest)`` of an already canonical form: ``blob`` is
+    ``json.dumps(data, sort_keys=True)`` in UTF-8, the bytes a response
+    carries as its ``data``, and ``digest`` their SHA-256 hex digest,
+    its ``checksum``.  The serve hit path sends the very bytes it
+    hashed."""
     blob = json.dumps(data, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return blob, hashlib.sha256(blob).hexdigest()
+
+
+def canonical_digest(data) -> str:
+    """SHA-256 hex digest of an already canonical form (the ``digest``
+    of :func:`canonical_encoding`): a response that carries both the
+    data and its checksum canonicalizes once and hashes that.
+    """
+    return canonical_encoding(data)[1]
 
 
 def canonical_checksum(value) -> str:
@@ -198,15 +208,24 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.pkl"
 
-    def get(self, key: str) -> tuple[bool, object]:
-        """Return ``(hit, value)``; a corrupt entry counts as a miss."""
+    def get(self, key: str, decode: Callable[[bytes], object] = pickle.loads
+            ) -> tuple[bool, object]:
+        """Return ``(hit, decode(entry))``, where ``entry`` is the stored
+        bytes; ``None`` stands in on a miss.
+
+        ``decode`` defaults to unpickling.  A caller that wants another
+        form of the value, say its canonical JSON, passes a function of
+        the entry's bytes instead, and may memoise it by those bytes:
+        a rewritten entry is other bytes.  An exception from ``decode``
+        marks the entry corrupt: it is deleted and counted as a miss.
+        """
         path = self._path(key)
         if not path.is_file():
             self.miss_count += 1
             _MISSES.inc()
             return False, None
         try:
-            value = pickle.loads(path.read_bytes())
+            value = decode(path.read_bytes())
         except Exception:  # corrupt/truncated entry: treat as miss
             try:
                 path.unlink()

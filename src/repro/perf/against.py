@@ -32,6 +32,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.obs.trace import TRACE_ENV
+
 #: ``(experiment, parameter overrides)``: default scale, except fig13
 #: at 2 mixes x 2,000 requests over three N_RH values, and fig10 at 8
 #: sites x 3 captures of 0.25 ms each with 3-fold cross-validation.
@@ -131,10 +133,14 @@ def _start(src: Path, name: str, params: dict,
            "--workers", "1", "--out", f"{stem}.json"]
     for key, value in params.items():
         cmd += ["-p", f"{key}={json.dumps(value)}"]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # A child that traced would reopen, and truncate, this process's
+    # trace file.
+    env.pop(TRACE_ENV, None)
     with open(f"{stem}.log", "w") as err:
         return subprocess.Popen(
             cmd, cwd=stem.parent, stdout=subprocess.DEVNULL, stderr=err,
-            env=dict(os.environ, PYTHONPATH=str(src)))
+            env=env)
 
 
 def _checksum(proc: subprocess.Popen, stem: Path) -> tuple[str | None, str]:

@@ -25,16 +25,20 @@ GET      /v1/artifacts/{name}.{json|md|png}  render a cached result
 
 Cache hits are answered inline on the event loop and never touch an
 execution backend; misses become :class:`~repro.serve.jobs.JobManager`
-jobs (202 + a job id), deduplicated on the result-cache key.
+jobs (202 + a job id), deduplicated on the result-cache key.  A hit
+splices the entry's canonical JSON and checksum, memoised by the
+entry's bytes (:func:`_canonical_entry`), into its response.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import pickle
 import time
 
-from repro.exp.cache import canonical_digest, canonicalize
+from repro.exp.cache import canonical_encoding, canonicalize
 from repro.exp.registry import RegistryError, all_experiments
 from repro.exp.runner import (
     ExperimentParamError,
@@ -50,6 +54,7 @@ from repro.serve.http import (
     Request,
     Response,
     StreamResponse,
+    json_data_response,
     json_response,
 )
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -82,6 +87,29 @@ _ROUTE_LABELS = (
     ("/v1/results", "/v1/results"),
     ("/v1/artifacts", "/v1/artifacts"),
 )
+
+
+#: Cache entries whose canonical JSON :func:`_canonical_entry` keeps.
+_CANONICAL_SLOTS = 64
+
+
+@functools.lru_cache(maxsize=_CANONICAL_SLOTS)
+def _canonical_entry(entry: bytes) -> tuple[bytes, str]:
+    """``(blob, digest)`` of a result-cache entry's bytes: the
+    :func:`~repro.exp.cache.canonical_encoding` of the value's
+    canonical form, whose ``blob`` is the ``data`` and ``digest`` the
+    ``checksum`` of every response that carries the value.
+
+    Memoised by the entry's bytes, so a repeated hit on an unchanged
+    entry costs a file read and a lookup.  The memo can only return
+    what the bytes on disk decode to: a rewritten entry is a new key, a
+    deleted one never gets here, and a corrupt one raises, which
+    ``lru_cache`` does not store and :meth:`ResultCache.get` takes for
+    a miss.  It keeps at most ``_CANONICAL_SLOTS`` entries, each with
+    its JSON: under 1 MB while results stay at a few KB (the largest
+    quick-scale one, fig2, is 4,157 pickled and 6,080 JSON bytes).
+    """
+    return canonical_encoding(canonicalize(pickle.loads(entry)))
 
 
 def _route_label(path: str) -> str:
@@ -195,13 +223,13 @@ class ReproApp:
     # Submission: the cache-or-job decision
     # ------------------------------------------------------------------
     def _hit_doc(self, kind: str, name: str, key: str, params: dict,
-                 value) -> Response:
-        data = canonicalize(value)
-        return json_response({
+                 entry: tuple[bytes, str]) -> Response:
+        blob, digest = entry
+        return json_data_response({
             "kind": kind, "name": name, "key": key,
             "params": canonicalize(params), "cached": True,
-            "checksum": canonical_digest(data), "data": data,
-        })
+            "checksum": digest,
+        }, blob)
 
     def _queued_doc(self, job: Job, created: bool) -> Response:
         doc = job.to_doc()
@@ -211,9 +239,9 @@ class ReproApp:
 
     def _submit(self, kind: str, name: str, key: str, params: dict,
                 work) -> Response:
-        hit, value = self.cache.get(key)
+        hit, entry = self.cache.get(key, decode=_canonical_entry)
         if hit:
-            return self._hit_doc(kind, name, key, params, value)
+            return self._hit_doc(kind, name, key, params, entry)
         try:
             job, created = self.jobs.submit(kind, name, key, work)
         except RuntimeError as exc:
@@ -317,13 +345,12 @@ class ReproApp:
     # Cached results + artifacts
     # ------------------------------------------------------------------
     def _result(self, key: str) -> Response:
-        hit, value = self.cache.get(key)
+        hit, entry = self.cache.get(key, decode=_canonical_entry)
         if not hit:
             raise HttpError(404, f"no cached result under key {key!r}")
-        data = canonicalize(value)
-        return json_response({"key": key,
-                              "checksum": canonical_digest(data),
-                              "data": data})
+        blob, digest = entry
+        return json_data_response({"key": key, "checksum": digest},
+                                  blob)
 
     def _artifact(self, tail: str, request: Request) -> Response:
         name, dot, fmt = tail.rpartition(".")

@@ -90,6 +90,21 @@ def json_response(doc, status: int = 200) -> Response:
     return Response(status=status, body=body)
 
 
+def json_data_response(doc: dict, data: bytes) -> Response:
+    """``json_response({**doc, "data": ...})`` for a ``data`` member
+    that is already JSON, given as ``data``, without decoding it.
+    ``json.dumps(..., sort_keys=True)`` writes the members in key
+    order, ``", "`` apart, so the body is the members before
+    ``"data"``, then ``data``, then the members after it."""
+    before = {k: v for k, v in doc.items() if k < "data"}
+    after = {k: v for k, v in doc.items() if k > "data"}
+    members = (json.dumps(before, sort_keys=True)[1:-1].encode(),
+               b'"data": ' + data,
+               json.dumps(after, sort_keys=True)[1:-1].encode())
+    return Response(body=b"{" + b", ".join(m for m in members if m)
+                    + b"}\n")
+
+
 # ----------------------------------------------------------------------
 # Request parsing
 # ----------------------------------------------------------------------
@@ -172,11 +187,12 @@ def _head(status: int, content_type: str, extra: tuple,
 
 async def write_response(writer: asyncio.StreamWriter, response: Response,
                          *, close: bool, head_only: bool = False) -> None:
-    writer.write(_head(response.status, response.content_type,
-                       tuple(response.headers),
-                       length=len(response.body), close=close))
-    if not head_only:
-        writer.write(response.body)
+    """Write the head and, unless ``head_only``, the body in one write:
+    a response that fits the socket's buffer leaves in one ``send``."""
+    head = _head(response.status, response.content_type,
+                 tuple(response.headers), length=len(response.body),
+                 close=close)
+    writer.write(head if head_only else head + response.body)
     await writer.drain()
 
 

@@ -293,6 +293,24 @@ class TestAgainst:
         assert rows[0].ref and rows[0].tree and not rows[0].error
         assert not rows[0].identical
 
+    def test_children_leave_the_trace_alone(self, tmp_path, monkeypatch):
+        """Under ``REPRO_TRACE`` the child runs must not reopen, and so
+        truncate, the trace file this process is writing."""
+        from repro.obs import trace
+        from repro.perf.against import SRC_DIR, compare_trees
+
+        path = tmp_path / "trace.ndjson"
+        monkeypatch.setenv(trace.TRACE_ENV, str(path))
+        trace.start(path)
+        try:
+            trace.emit("marker", None, note="against")
+            rows = compare_trees(SRC_DIR, SRC_DIR, self.CASES,
+                                 workdir=tmp_path)
+        finally:
+            trace.stop()
+        assert rows[0].identical, rows[0].error
+        assert [doc["ev"] for doc in trace.load_ndjson(path)] == ["marker"]
+
     def test_failed_run_is_a_difference(self, tmp_path):
         from repro.perf.against import SRC_DIR, AgainstReport, compare_trees
 
